@@ -7,7 +7,7 @@
 //! every operation pays a full request/response round trip before the
 //! next can start. With many connections, the server's readiness loop
 //! overlaps those round trips and its worker pool executes requests in
-//! parallel against the engine's striped pipelines, so aggregate
+//! parallel against the engine, so aggregate
 //! throughput climbs past the one-client line. The acceptance gate
 //! asserts 16 socket clients deliver ≥ 0.8x the read throughput of
 //! one socket client — no collapse under multiplexing. The margin
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use esm_bench::results::BenchResults;
-use esm_engine::{ArcEngine, Engine, EngineServer};
+use esm_engine::{ArcEngine, Engine, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine, SubscriptionClient};
 use esm_obs::{Histogram, HistogramSnapshot};
 use esm_relational::ViewDef;
@@ -78,7 +78,7 @@ fn seed_db() -> Database {
 }
 
 fn engine_with_views() -> ArcEngine {
-    let engine = EngineServer::new(seed_db());
+    let engine = ShardedEngineServer::new(seed_db(), 1).expect("one-shard engine");
     for b in 0..VIEWS {
         engine
             .define_view(

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use esm_bench::fmt_ns;
 use esm_bench::results::BenchResults;
-use esm_engine::{EngineServer, ShardRouter, ShardedEngineServer};
+use esm_engine::{ShardRouter, ShardedEngineServer};
 use esm_obs::{Histogram, HistogramSnapshot};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Row, Schema, Table, Value, ValueType};
@@ -62,11 +62,11 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// true` reads through the maintained window (`view.get()`),
 /// `materialized = false` re-runs the compiled lens over a fresh base
 /// snapshot — the deleted read path, measured as the baseline.
-fn unsharded_read_ns(rows: i64, materialized: bool) -> (f64, HistogramSnapshot) {
+fn single_shard_read_ns(rows: i64, materialized: bool) -> (f64, HistogramSnapshot) {
     let per_read = Histogram::new();
     let samples: Vec<f64> = (0..REPS)
         .map(|rep| {
-            let engine = EngineServer::new(seed_db(rows));
+            let engine = ShardedEngineServer::new(seed_db(rows), 1).expect("one-shard engine");
             let def = view_def();
             let view = engine.define_view("hot", "kv", &def).expect("compiles");
             let lens = def
@@ -156,8 +156,8 @@ fn main() {
     let mut gate_speedup = 0.0;
 
     for rows in [10_000i64, 100_000] {
-        let (incremental, inc_hist) = unsharded_read_ns(rows, true);
-        let (full, full_hist) = unsharded_read_ns(rows, false);
+        let (incremental, inc_hist) = single_shard_read_ns(rows, true);
+        let (full, full_hist) = single_shard_read_ns(rows, false);
         let speedup = full / incremental;
         if rows == GATE_ROWS {
             gate_speedup = speedup;
@@ -174,7 +174,7 @@ fn main() {
             );
         }
         println!(
-            "unsharded {rows:>6} rows: incremental {}/read (p99 {}) vs full re-run {}/read ({speedup:.1}x)",
+            "1 shard {rows:>6} rows: incremental {}/read (p99 {}) vs full re-run {}/read ({speedup:.1}x)",
             fmt_ns(incremental),
             fmt_ns(inc_hist.p99() as f64),
             fmt_ns(full)

@@ -86,11 +86,11 @@ pub fn selective_age_pred() -> Predicate {
 /// An engine over one `people` table of `n` rows, with one select view
 /// per age band (`shards` bands over ages `0..100`) and a whole-table
 /// view named `all`.
-pub fn engine_with_shard_views(n: usize, shards: usize) -> esm_engine::EngineServer {
+pub fn engine_with_shard_views(n: usize, shards: usize) -> esm_engine::ShardedEngineServer {
     let mut db = Database::new();
     db.create_table("people", people_table(n))
         .expect("fresh table");
-    let engine = esm_engine::EngineServer::new(db);
+    let engine = esm_engine::ShardedEngineServer::new(db, 1).expect("one-shard engine");
     let band = 100 / shards.max(1) as i64;
     for s in 0..shards.max(1) {
         let lo = s as i64 * band;
@@ -115,7 +115,7 @@ pub fn engine_with_shard_views(n: usize, shards: usize) -> esm_engine::EngineSer
 /// Run `writes` upserts of distinct keys through each of `threads`
 /// workers, each via its own entangled view handle. Returns total commits.
 pub fn run_concurrent_engine_workload(
-    engine: &esm_engine::EngineServer,
+    engine: &esm_engine::ShardedEngineServer,
     threads: usize,
     writes: usize,
 ) -> u64 {

@@ -8,33 +8,36 @@
 //! view write is a lens `put` whose effect every other view observes.
 //! This crate scales that idea from a single-threaded session to a real
 //! engine: snapshot transactions, a write-ahead log, secondary-index
-//! seeks, and lock-striped concurrent access.
+//! seeks, and key-range shards with two-phase commit.
 //!
 //! ## Architecture
 //!
-//! Clients never see an engine *shape* — they see the [`Engine`] trait.
-//! Handles ([`EntangledView`]) and per-client state ([`Session`]) are
-//! written against `dyn Engine`, so the same client code (and the same
-//! conformance suite, [`testkit`]) runs against the lock-striped
-//! in-process engine, the key-range-sharded engine, and — via the
-//! `esm-net` crate's `RemoteEngine`/`NetServer` pair — an engine on the
-//! far side of a socket:
+//! There is **one engine**, [`ShardedEngineServer`]: N ≥ 1 key-range
+//! shards, each with its own committed piece, WAL and (optionally)
+//! durable segment log. `ShardedEngineServer::new(db, 1)` is the plain
+//! single-shard engine; more shards add parallelism, not a second code
+//! path. Clients never see the shard count — they see the [`Engine`]
+//! trait. Handles ([`EntangledView`]) and per-client state ([`Session`])
+//! are written against `dyn Engine`, so the same client code (and the
+//! same conformance suite, [`testkit`]) runs in-process, on a read-only
+//! [`ReplicaEngine`], and — via the `esm-net` crate's
+//! `RemoteEngine`/`NetServer` pair — on the far side of a socket:
 //!
 //! ```text
 //!   client state                 the one trait            implementations
 //!  ┌────────────────┐    ┌───────────────────────┐   ┌──────────────────────────┐
-//!  │ Session        │    │ Engine                │   │ EngineServer             │
-//!  │  ├ view handles├───▶│  transact             │◀──┤  ├ Stripes<Table>        │
-//!  │  ├ retry policy│    │  define_view / view   │   │  ├ views: DeltaLens +    │
-//!  │  └ commit stamp│    │  read_view            │   │  │   materialized window │
-//!  ├────────────────┤    │  write_view           │   │  ├ Wal ── DurableWal ──▶ │ wal-*.seg
-//!  │ EntangledView  ├───▶│  edit_view_optimistic │   │  └ FCW via key overlap   │ checkpoint-*.ckpt
-//!  │  .get/.put     │    │  metrics / checkpoint │   ├──────────────────────────┤
-//!  │  .edit(f)      │    │  snapshot / sync_wal  │   │ ShardedEngineServer      │
-//!  └────────────────┘    └───────────┬───────────┘   │  ├ ShardRouter (ranges)  │
-//!                                    │               │  ├ Shard ×N: db+wal each │──▶ shard-<id>/
-//!        the same handles, over ─────┘               │  ├ ShardCoordinator (2PC)│    topology.esm
-//!        a wire (esm-net):                           │  └ rebalance split/merge │
+//!  │ Session        │    │ Engine                │   │ ShardedEngineServer      │
+//!  │  ├ view handles├───▶│  transact             │◀──┤  ├ ShardRouter (ranges)  │
+//!  │  ├ retry policy│    │  define_view / view   │   │  ├ Shard ×N (N ≥ 1):     │──▶ shard-<id>/
+//!  │  └ commit stamp│    │  read_view            │   │  │   db + Wal + stamp    │      wal-*.seg
+//!  ├────────────────┤    │  write_view           │   │  │   index + DurableWal  │      checkpoint-*.ckpt
+//!  │ EntangledView  ├───▶│  edit_view_optimistic │   │  ├ views: DeltaLens +    │    topology.esm
+//!  │  .get/.put     │    │  metrics / checkpoint │   │  │   per-shard windows   │
+//!  │  .edit(f)      │    │  snapshot / sync_wal  │   │  ├ ShardCoordinator (2PC)│
+//!  └────────────────┘    └───────────┬───────────┘   │  └ rebalance split/merge │
+//!                                    │               ├──────────────────────────┤
+//!        the same handles, over ─────┘               │ ReplicaEngine (repl)     │
+//!        a wire (esm-net):                           │  └ serving: 1-shard      │
 //!  ┌────────────────┐  frames   ┌────────────────┐   ├──────────────────────────┤
 //!  │ RemoteEngine   ├─[len|crc|─▶ NetServer      │   │ RemoteEngine (esm-net)   │
 //!  │ impl Engine    │  payload] │  poller+workers├──▶│  CAS edits, pre-image-   │
@@ -51,9 +54,9 @@
 //! creates one `Session` per accepted connection, so "per-client"
 //! means the same thing in-process and on a socket.
 //! [`Engine::transact`] commits multi-table snapshot transactions
-//! atomically on every implementation: chained WAL record groups on the
-//! unsharded engine, per-key routing with two-phase commit across
-//! shards, and client-driven pre-image validation over the wire.
+//! atomically on every implementation: chained WAL record groups on one
+//! shard, per-key routing with two-phase commit across shards, and
+//! client-driven pre-image validation over the wire.
 //!
 //! ### Sharding ([`shard`])
 //!
@@ -82,7 +85,7 @@
 //!   `topology.esm` manifest is rewritten atomically and recovery prunes
 //!   whatever a mid-rebalance crash left out of place.
 //! * **Routing-oblivious clients**: `define_view` hands out the same
-//!   [`EntangledView`] handles as the unsharded engine; `get`/`put`/
+//!   [`EntangledView`] handles whatever the shard count; `get`/`put`/
 //!   `edit` assemble consistent cross-shard snapshots and coordinate
 //!   writes per key automatically.
 //!
@@ -91,26 +94,24 @@
 //! Views are first-class materialized objects, not queries re-run per
 //! read. The lifecycle has four phases:
 //!
-//! 1. **Register** ([`EngineServer::define_view`] /
-//!    [`shard::ShardedEngineServer::define_view`]): the [`ViewDef`
-//!    pipeline](esm_relational::ViewDef) compiles to a
+//! 1. **Register** ([`ShardedEngineServer::define_view`]): the
+//!    [`ViewDef` pipeline](esm_relational::ViewDef) compiles to a
 //!    [`esm_lens::DeltaLens`] — `get`/`put` as ever, plus `get_delta`
 //!    mapping a committed base [`esm_store::Delta`] to the view's
 //!    coordinates (select filters the delta's rows, project maps them,
-//!    rename passes them through). This is the one sanctioned full lens
-//!    `get`: the unsharded engine materializes the window here; the
-//!    sharded engine materializes per-shard windows on first read.
+//!    rename passes them through). Per-shard windows materialize with
+//!    the one sanctioned full lens `get`, on first read.
 //! 2. **Maintain** (`read_view`): each window remembers the WAL
 //!    position it reflects. A read drains the committed records past
 //!    that cursor, translates them through `get_delta`, and folds the
 //!    view deltas into the window in place — O(changes since the last
-//!    read), never a whole-base `get` or a whole-database assembly. On
-//!    a sharded engine the drain honours the 2PC transaction structure
-//!    (prepared chains count only at their commit resolution), and all
-//!    consulted shard read locks are held together so no cross-shard
-//!    transaction is ever observed half-applied.
-//! 3. **Prune** (sharded only): the view definition's base-schema
-//!    selects imply bounds on the key
+//!    read), never a whole-base `get` or a whole-database assembly. The
+//!    drain honours the 2PC transaction structure (prepared chains
+//!    count only at their commit resolution), and all consulted shard
+//!    read locks are held together so no cross-shard transaction is
+//!    ever observed half-applied.
+//! 3. **Prune**: the view definition's base-schema selects imply
+//!    bounds on the key
 //!    ([`esm_relational::ViewDef::key_bounds`] →
 //!    [`esm_store::Predicate::value_bounds`]); the router maps them to
 //!    the contiguous shard run the window can touch
@@ -124,7 +125,7 @@
 //!    re-runs the lens `get` against the live base — correctness never
 //!    depends on propagation. [`metrics::ViewStats`] counts
 //!    materialized reads, deltas applied, rebuilds and shards pruned;
-//!    in steady state `rebuilds` stays flat at its registration value
+//!    in steady state `rebuilds` stays flat at its first-read value
 //!    (asserted by the suites, and by the incremental/recompute
 //!    equivalence proptest in `tests/view_maintenance.rs`).
 //!
@@ -142,16 +143,24 @@
 //!   notifier (the trait default returns `None`) still work; callers
 //!   fall back to a coarse tick.
 //! * **Cursor drains** ([`Engine::view_deltas_since`] →
-//!   [`ViewDeltas`]): given a view name and the WAL stamp the consumer
-//!   last saw, return the settled base-table deltas past that stamp
-//!   translated through the view's lens — the same `get_delta`
+//!   [`ViewDeltas`]): given a view name and the global commit stamp the
+//!   consumer last saw, return the settled base-table deltas past that
+//!   stamp translated through the view's lens — the same `get_delta`
 //!   machinery `read_view` uses, so a drain costs O(deltas in the gap),
-//!   not O(window). Three answers are possible: a **delta batch**
-//!   (`resync: None`, apply in order), an **empty batch** (cursor is
-//!   current), or a **resync** (`resync: Some(window)`) when the cursor
-//!   predates the truncated WAL prefix, falls outside the live window,
-//!   or is the explicit `u64::MAX` force-resync sentinel — the consumer
-//!   replaces its replica wholesale and resumes from `to_seq`.
+//!   not O(window). Each shard maps the stamp to its own WAL position
+//!   through a per-shard `(stamp, last seq)` index pushed under the
+//!   shard write lock whenever a commit is stamped. Three answers are
+//!   possible: a **delta batch** (`resync: None`, apply in order), an
+//!   **empty batch** (cursor is current), or a **resync**
+//!   (`resync: Some(window)`) when the cursor predates the index floor
+//!   (a truncated WAL prefix, or a split/merge since), lies ahead of
+//!   the current stamp, was issued by another engine instance, or is
+//!   the explicit `u64::MAX` force-resync sentinel — the consumer
+//!   replaces its replica wholesale and resumes from `to_seq`. Each
+//!   instance starts its stamps at a wall-clock base carrying a random
+//!   instance tag, so a cursor kept across a server restart, or carried
+//!   to another server by a redirect, resyncs rather than mapping to an
+//!   unrelated log position.
 //!   Unsettled trailing transactions (an open chain, an unresolved 2PC
 //!   prepare) are never handed out; the cursor simply does not advance
 //!   past them.
@@ -177,15 +186,17 @@
 //! discards (and truncates) an unterminated trailing chain — a
 //! multi-table commit can never recover as a prefix.
 //!
-//! ### Transaction lifecycle ([`tx`])
+//! ### Transaction lifecycle
 //!
-//! [`TxStore::begin`] snapshots the committed database; the [`Tx`] works
-//! on its private copy; [`Tx::commit`] diffs every table with
-//! [`esm_store::Delta::between`], validates **first-committer-wins** (a
+//! [`ShardedEngineServer::transact`] snapshots the participant shards
+//! (an O(rows) copy of their pieces) and runs the body on a private
+//! working copy; the commit diffs every table with
+//! [`esm_store::Delta::between`] (an O(rows) merge), routes the changed
+//! rows to their shards, validates **first-committer-wins** on each (a
 //! commit conflicts iff a WAL record newer than its snapshot touches one
-//! of the same primary keys), then publishes the deltas and appends them
-//! to the WAL. Disjoint concurrent commits rebase cleanly; overlapping
-//! ones abort with [`EngineError::Conflict`].
+//! of the same primary keys), then appends the deltas write-ahead and
+//! applies them. Disjoint concurrent commits rebase cleanly; overlapping
+//! ones abort with [`EngineError::Conflict`] and retry.
 //!
 //! ### WAL format ([`wal`])
 //!
@@ -200,8 +211,8 @@
 //!
 //! The in-memory log is **bounded**: once every materialized view's
 //! window cursor (and the durable checkpoint, when one exists) has
-//! passed a prefix, [`EngineServer::truncate_wal`] (and the sharded
-//! `truncate_wals`, both run by maintenance) folds that prefix into the
+//! passed a prefix, [`ShardedEngineServer::truncate_wals`] (run by
+//! maintenance) folds that prefix into the
 //! replay baseline and drops it — always cutting at a settled
 //! transaction boundary ([`Wal::settled_prefix_end`]), never through a
 //! chain or an unresolved 2PC prepare. First-committer-wins validation
@@ -210,10 +221,10 @@
 //!
 //! ### Durability ([`durable`], [`segment`], [`checkpoint`])
 //!
-//! In-memory is the default; pass [`Durability::Durable`] to
-//! [`EngineServer::with_durability`] / [`TxStore::with_durability`] and
-//! every commit is *written ahead* to an on-disk log before it is
-//! applied. One directory holds the whole log:
+//! In-memory is the default; build with
+//! [`ShardedEngineServer::with_durability`] and a [`DurabilityConfig`]
+//! and every commit is *written ahead* to an on-disk log before it is
+//! applied. One directory per shard holds that shard's whole log:
 //!
 //! ```text
 //! wal-dir/
@@ -270,7 +281,7 @@
 //! 2. If another leader's fsync is in flight, wait on the condvar:
 //!    that fsync began *after* this record was appended, so its
 //!    completion covers it.
-//! 3. Otherwise become the leader: re-take the engine lock, read the
+//! 3. Otherwise become the leader: re-take the shard lock, read the
 //!    WAL's `last_seq` (the batch accumulated while waiting — every
 //!    session that appended before this instant rides along), fsync
 //!    once, publish the new `durable_seq`, and wake all waiters.
@@ -279,8 +290,8 @@
 //! failed leader fsync poisons the gate (fail-stop — the log's tail is
 //! unknowable), and every current and future waiter gets the error.
 //!
-//! **Recovery** ([`EngineServer::recover`]) is a four-step state
-//! machine — *checkpoint scan* (newest valid checkpoint; torn ones are
+//! **Recovery** (per shard, inside
+//! [`ShardedEngineServer::recover_with`]) is a four-step state machine — *checkpoint scan* (newest valid checkpoint; torn ones are
 //! skipped), *segment scan* (decode each segment's longest
 //! complete-record prefix; [`segment::decode_segment_prefix`] tolerates
 //! tails cut mid-line or mid-code-point), *plan*
@@ -342,7 +353,7 @@
 //! log-bucketed histogram per instrumented phase — threaded through the
 //! hot paths in three layers: **recorders** ([`esm_obs::Span`] /
 //! [`esm_obs::Timer`]) time the phase at the call site (commit snapshot
-//! acquire, FCW validate, WAL append, fsync, stripe-lock hold, the 2PC
+//! acquire, FCW validate, WAL append, fsync, shard-lock hold, the 2PC
 //! prepare/resolve/fsync trio, view drain/fold/rebuild) and cost one
 //! relaxed atomic add each; the **registry** aggregates them and keeps a
 //! bounded **slow-op ring** (operations crossing
@@ -383,19 +394,21 @@
 //! instead of scanning; lens `put` paths that clone the base keep its
 //! indexes warm.
 //!
-//! ### Concurrency ([`server`], [`stripe`])
+//! ### Concurrency
 //!
-//! Tables are spread over [`Stripes`] (rwlocks chosen by stable name
-//! hash): traffic on different tables never shares a lock. View writes
-//! come in a serialized pessimistic flavour ([`EngineServer::write_view`])
-//! and an optimistic flavour with first-committer-wins retries
-//! ([`EngineServer::edit_view_optimistic`]); both report the base-table
-//! [`esm_store::Delta`] they committed.
+//! Each shard is one rwlock: readers share it, a commit holds it for
+//! write while it validates, appends and applies. Commits on different
+//! shards never share a lock; commits on one shard serialize, whatever
+//! tables they touch. View writes come as a whole-window `put`
+//! ([`ShardedEngineServer::write_view`], last-writer-wins between
+//! racing putters) and as an optimistic edit with first-committer-wins
+//! retries ([`ShardedEngineServer::edit_view_optimistic`]); both report
+//! the base-table [`esm_store::Delta`] they committed.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use esm_engine::EngineServer;
+//! use esm_engine::ShardedEngineServer;
 //! use esm_relational::ViewDef;
 //! use esm_store::{row, Database, Operand, Predicate, Schema, Table, ValueType};
 //!
@@ -408,7 +421,7 @@
 //!     Table::from_rows(schema, vec![row![1, "research"], row![2, "ops"]]).unwrap(),
 //! ).unwrap();
 //!
-//! let engine = EngineServer::new(db);
+//! let engine = ShardedEngineServer::new(db, 1).unwrap();
 //! let research = engine.define_view(
 //!     "research", "staff",
 //!     &ViewDef::base().select(Predicate::eq(Operand::col("dept"), Operand::val("research"))),
@@ -432,23 +445,21 @@ pub mod error;
 pub mod metrics;
 pub mod repl;
 pub mod segment;
-pub mod server;
 pub mod session;
 pub mod shard;
-pub mod stripe;
 pub mod sub;
 pub mod testkit;
-pub mod tx;
 pub mod view;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
 pub use durable::{
-    plan_recovery, resolve_transactions, scan_segments, Durability, DurabilityConfig, DurableWal,
+    plan_recovery, resolve_transactions, scan_segments, DurabilityConfig, DurableWal,
     RecoveryReport, ResolvedLog, ScannedSegment,
 };
 pub use engine::{
     apply_deltas_checked, apply_table_delta_checked, ArcEngine, CommitReceipt, Engine,
+    DEFAULT_OPTIMISTIC_ATTEMPTS,
 };
 pub use error::EngineError;
 pub use esm_obs::{
@@ -466,11 +477,8 @@ pub use segment::{
     crc32, decode_segment_prefix, encode_framed, encode_framed_binary, SegmentFile, SegmentPrefix,
     SegmentWriter, SimFile, BINARY_FRAME_MAGIC,
 };
-pub use server::{EngineServer, DEFAULT_OPTIMISTIC_ATTEMPTS};
 pub use session::{RetryPolicy, Session};
 pub use shard::{FailPoint, Shard, ShardRecoveryReport, ShardRouter, ShardedEngineServer};
-pub use stripe::Stripes;
 pub use sub::{CommitNotifier, ViewDeltas};
-pub use tx::{delta_keys, deltas_conflict, Tx, TxStore};
 pub use view::EntangledView;
 pub use wal::{reserved_table_name, Wal, WalOp, WalRecord};

@@ -1,7 +1,7 @@
 //! [`ReplicaEngine`]: a continuously-recovering read replica.
 //!
 //! The replica mirrors a primary's WAL directories byte-for-byte from a
-//! [`WalSource`] and keeps a flat serving [`EngineServer`] converged to
+//! [`WalSource`] and keeps a one-shard serving [`ShardedEngineServer`] converged to
 //! the primary's settled state. Bootstrap runs the exact recovery
 //! pipeline ([`latest_valid_checkpoint`] → [`scan_segments`] →
 //! [`plan_recovery`] → [`resolve_transactions`]); steady state decodes
@@ -31,8 +31,7 @@ use crate::durable::{plan_recovery, resolve_transactions, scan_segments, Mainten
 use crate::error::EngineError;
 use crate::metrics::{MetricsSnapshot, ReplStats, ReplicaLag};
 use crate::segment::{decode_segment_prefix, parse_segment_name, segment_file_name};
-use crate::server::EngineServer;
-use crate::shard::{read_topology, TOPOLOGY_FILE};
+use crate::shard::{read_topology, ShardedEngineServer, TOPOLOGY_FILE};
 use crate::wal::{WalOp, WalRecord};
 
 /// Tuning for a replica.
@@ -100,7 +99,7 @@ struct ReplicaInner {
     source: Arc<dyn WalSource>,
     mirror: PathBuf,
     chunk_bytes: u64,
-    serving: EngineServer,
+    serving: ShardedEngineServer,
     apply: Mutex<ApplyState>,
     stats: Mutex<ReplStats>,
     primary_addr: Mutex<String>,
@@ -146,7 +145,7 @@ impl ReplicaEngine {
             &mut shipped,
         )?;
         let (db, streams) = build_settled(&config.mirror)?;
-        let serving = EngineServer::new(db);
+        let serving = ShardedEngineServer::new(db, 1)?;
         let replica = ReplicaEngine {
             inner: Arc::new(ReplicaInner {
                 source,
@@ -220,9 +219,10 @@ impl ReplicaEngine {
             .unwrap_or_default()
     }
 
-    /// The flat engine serving this replica's reads (views registered
-    /// here serve `read_view` / `view_deltas_since` incrementally).
-    pub fn serving(&self) -> &EngineServer {
+    /// The one-shard engine serving this replica's reads (views
+    /// registered here serve `read_view` / `view_deltas_since`
+    /// incrementally).
+    pub fn serving(&self) -> &ShardedEngineServer {
         &self.inner.serving
     }
 

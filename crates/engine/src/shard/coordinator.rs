@@ -100,19 +100,23 @@ impl ShardCoordinator {
     ///
     /// `stamp` is called once, while every participant lock is held,
     /// with no conflicts remaining — its return value is the commit's
-    /// position in the engine-wide serialization order.
+    /// position in the engine-wide serialization order, and each
+    /// participant's stamp index records it after its resolve record.
     ///
     /// With `telemetry`, each participant's prepare append, resolve
     /// append and both fsyncs time into the `Twopc*` phases — one
     /// sample per participant per phase, so the histograms expose the
-    /// per-shard cost, not just the transaction total.
-    pub(crate) fn commit_cross<R>(
+    /// per-shard cost, not just the transaction total — and the
+    /// transaction as a whole records one `CommitValidate` (the
+    /// first-committer-wins checks) and one `CommitLockHold` (every
+    /// participant lock, acquisition to release).
+    pub(crate) fn commit_cross(
         &self,
         participants: &[Participant<'_>],
         failpoint: FailPoint,
         telemetry: Option<&Telemetry>,
-        stamp: impl FnOnce() -> R,
-    ) -> Result<(String, R), EngineError> {
+        stamp: impl FnOnce() -> u64,
+    ) -> Result<(String, u64), EngineError> {
         debug_assert!(
             participants.windows(2).all(|w| w[0].index < w[1].index),
             "participants must be locked in index order"
@@ -123,6 +127,9 @@ impl ShardCoordinator {
         // phases.
         let mut guards: Vec<std::sync::RwLockWriteGuard<'_, ShardState>> =
             participants.iter().map(|p| p.shard.write()).collect();
+        // Declared after the guards, so it drops (and records) before
+        // they release: the hold covers acquisition to release.
+        let _lock_hold = telemetry.map(|tel| tel.timer(Phase::CommitLockHold));
 
         // With an active trace, each participant gets an *umbrella* span
         // covering its whole share of the protocol; the prepare, fsync
@@ -147,6 +154,7 @@ impl ShardCoordinator {
 
         // Validate first-committer-wins on every participant before
         // writing anything anywhere.
+        let validate = telemetry.map(|tel| tel.timer(Phase::CommitValidate));
         for (p, guard) in participants.iter().zip(guards.iter()) {
             if let Some((table, seq)) = guard.fcw_conflict(p.snap_seq, &p.keys)? {
                 return Err(EngineError::Conflict {
@@ -158,6 +166,7 @@ impl ShardCoordinator {
                 });
             }
         }
+        drop(validate);
 
         // Phase 1: prepare everywhere (appends deferred — no inline
         // fsync), then fsync all participants in parallel. The appends
@@ -250,6 +259,7 @@ impl ShardCoordinator {
             let resolve_span = Span::start();
             let resolve_tspan = under(i).map(|ctx| ctx.child("twopc_resolve", ""));
             guard.resolve(&gtx, true, &p.deltas, true)?;
+            guard.note_stamp(receipt);
             drop(resolve_tspan);
             if let Some(tel) = telemetry {
                 tel.record(Phase::TwopcResolve, resolve_span.elapsed_ns());
@@ -342,7 +352,7 @@ mod tests {
                 &[stale_a, participant(1, &b, 1010)],
                 FailPoint::None,
                 None,
-                || (),
+                || 0,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Conflict { .. }));
@@ -359,7 +369,7 @@ mod tests {
                 &[participant(0, &a, 10), participant(1, &b, 1010)],
                 FailPoint::AfterPrepare,
                 None,
-                || (),
+                || 0,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Io(msg) if msg.contains("failpoint")));
@@ -374,7 +384,7 @@ mod tests {
         let coord = ShardCoordinator::starting_after(41);
         let a = Shard::new_in_memory(0, piece(0));
         let (gtx, _) = coord
-            .commit_cross(&[participant(0, &a, 10)], FailPoint::None, None, || ())
+            .commit_cross(&[participant(0, &a, 10)], FailPoint::None, None, || 0)
             .unwrap();
         assert_eq!(gtx, "g42");
     }

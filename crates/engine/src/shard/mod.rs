@@ -22,8 +22,8 @@
 //!   committing.
 //!
 //! Clients stay routing-oblivious: [`ShardedEngineServer::define_view`]
-//! hands out the same [`crate::EntangledView`] handles the unsharded
-//! engine does, and `get`/`put`/`edit` route (and coordinate) per key
+//! hands out the same [`crate::EntangledView`] handles every [`crate::Engine`]
+//! does, and `get`/`put`/`edit` route (and coordinate) per key
 //! under the hood.
 //!
 //! ## Durable layout
@@ -59,7 +59,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use esm_lens::DeltaLens;
+use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_obs::{Phase, Span, Telemetry, TelemetrySnapshot};
 use esm_relational::ViewDef;
 use esm_store::{Database, Delta, Row, Schema, Table, Value};
@@ -77,6 +77,32 @@ use self::shard::GroupEnd;
 
 /// File name of the topology manifest inside a sharded base directory.
 pub const TOPOLOGY_FILE: &str = "topology.esm";
+
+/// Commit stamps advance by this stride. The bits below it are the
+/// issuing engine instance's tag (see [`stamp_base`]).
+const STAMP_STRIDE: u64 = 1 << 8;
+
+/// The stamp an engine instance starts from: the wall clock in
+/// nanoseconds with its low bits replaced by a random instance tag.
+///
+/// Subscription cursors are stamps, and a client may hand one to another
+/// instance (a restarted server, or a primary reached by a redirect).
+/// The base makes such a cursor resync instead of mapping to an
+/// unrelated log position: stamps advance by [`STAMP_STRIDE`] per commit,
+/// far slower than the clock, so an earlier instance on this host issued
+/// only stamps below a later instance's base; and a cursor from an
+/// instance whose range overlaps (one running elsewhere) carries another
+/// tag, except for a 1-in-[`STAMP_STRIDE`] chance.
+fn stamp_base() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    hasher.write_u64(now);
+    let tag = hasher.finish() % STAMP_STRIDE;
+    (now - now % STAMP_STRIDE).max(STAMP_STRIDE) | tag
+}
 
 /// The mutable shard layout: the router and the shards it indexes, kept
 /// in lockstep (`router.shard_count() == shards.len()`, range `i` ↔
@@ -123,7 +149,7 @@ struct ViewReg {
     /// base-schema selects imply: the pruning hint for reads and writes.
     bounds: (Bound<Value>, Bound<Value>),
     /// The view's output schema (for assembling an empty result when the
-    /// bounds prune every shard).
+    /// bounds prune every shard, and keying drained deltas).
     schema: Schema,
     /// Per-shard materialized windows, built lazily on first read and
     /// invalidated by topology epoch changes. Lock order is always view
@@ -150,6 +176,7 @@ pub(crate) struct ShardedInner {
     pub(crate) topology: Arc<RwLock<Topology>>,
     views: RwLock<BTreeMap<String, ViewReg>>,
     pub(crate) coordinator: ShardCoordinator,
+    /// The next commit stamp to issue (see [`stamp_base`]).
     stamp: AtomicU64,
     /// Commit signal for push pumps: every settled commit publishes its
     /// global stamp here (see [`crate::sub::CommitNotifier`]).
@@ -203,9 +230,12 @@ fn partition(db: &Database, router: &ShardRouter) -> Result<Vec<Database>, Engin
 }
 
 /// Merge shard pieces into one database (shards hold disjoint keys, so
-/// upserts never collide).
-pub(crate) fn assemble(pieces: impl Iterator<Item = Database>) -> Result<Database, EngineError> {
-    let mut out = Database::new();
+/// upserts never collide). The first piece is moved in, not copied: a
+/// one-shard assembly costs nothing beyond the caller's own copy.
+pub(crate) fn assemble(
+    mut pieces: impl Iterator<Item = Database>,
+) -> Result<Database, EngineError> {
+    let mut out = pieces.next().unwrap_or_default();
     for piece in pieces {
         for name in piece.table_names() {
             let table = piece.table(name)?;
@@ -306,10 +336,12 @@ impl ShardedEngineServer {
     // ------------------------------------------------------------------
 
     /// An in-memory sharded engine over `db`, cut into (up to) `shards`
-    /// ranges at key quantiles of the existing data. Use
+    /// ranges at key quantiles of the existing data. `shards = 1` is the
+    /// plain single-shard engine. Use
     /// [`ShardedEngineServer::with_router`] to control the split points.
     pub fn new(db: Database, shards: usize) -> Result<ShardedEngineServer, EngineError> {
-        ShardedEngineServer::with_router(db.clone(), quantile_router(&db, shards))
+        let router = quantile_router(&db, shards);
+        ShardedEngineServer::with_router(db, router)
     }
 
     /// An in-memory sharded engine with explicit split points.
@@ -540,10 +572,15 @@ impl ShardedEngineServer {
             Some(c) => Telemetry::with_config(c.telemetry.clone()),
             None => Telemetry::new(),
         });
+        // The instance's first stamp is everything the shards hold now,
+        // recovery settlements and repairs included.
+        let base = stamp_base();
         for shard in &shards {
-            if let Some(d) = shard.write().durable.as_mut() {
+            let mut state = shard.write();
+            if let Some(d) = state.durable.as_mut() {
                 d.set_telemetry(Some(Arc::clone(&telemetry)));
             }
+            state.reset_stamps(base);
         }
         let topology = Arc::new(RwLock::new(Topology {
             router,
@@ -573,7 +610,7 @@ impl ShardedEngineServer {
                 topology,
                 views: RwLock::new(BTreeMap::new()),
                 coordinator,
-                stamp: AtomicU64::new(1),
+                stamp: AtomicU64::new(base + STAMP_STRIDE),
                 notifier: Arc::new(CommitNotifier::new()),
                 metrics: Metrics::default(),
                 shard_metrics,
@@ -622,10 +659,22 @@ impl ShardedEngineServer {
         }
     }
 
-    /// A consistent snapshot of one table, assembled across shards.
+    /// A consistent snapshot of one table, assembled across shards (all
+    /// shard read locks held together). Copies that table only.
     pub fn table(&self, name: &str) -> Result<Table, EngineError> {
-        let db = self.snapshot();
-        Ok(db.table(name)?.clone())
+        let topo = self.topology();
+        let guards: Vec<_> = topo.shards.iter().map(Shard::read).collect();
+        let mut pieces = guards.iter().map(|g| g.db.table(name));
+        let mut out = match pieces.next() {
+            Some(Ok(first)) => first.clone(),
+            _ => return Err(EngineError::NoSuchTable(name.to_string())),
+        };
+        for piece in pieces {
+            for row in piece?.rows() {
+                out.upsert(row.clone())?;
+            }
+        }
+        Ok(out)
     }
 
     /// A consistent snapshot of the whole database: all shard read locks
@@ -903,6 +952,19 @@ impl ShardedEngineServer {
         Ok(dropped)
     }
 
+    /// Start a new topology epoch after a split/merge (caller holds the
+    /// topology write lock): materialized windows built against the old
+    /// layout rebuild on their next read, and every shard's stamp index
+    /// restarts at a fresh stamp, so subscription cursors from the old
+    /// layout resync.
+    pub(crate) fn start_epoch(&self, topo: &mut Topology) {
+        topo.epoch += 1;
+        let stamp = self.next_stamp();
+        for shard in &topo.shards {
+            shard.write().reset_stamps(stamp);
+        }
+    }
+
     pub(crate) fn topology(&self) -> std::sync::RwLockReadGuard<'_, Topology> {
         self.inner.topology.read().expect("topology lock poisoned")
     }
@@ -951,20 +1013,22 @@ impl ShardedEngineServer {
         self.run_transact(Some(keys), max_attempts, failpoint, body)
     }
 
-    /// Checked delta commit pruned to the touched shards: derive the
-    /// key set from the delta rows, snapshot and lock only the shards
-    /// those keys route to, and validate each row against its
-    /// pre-image ([`crate::engine::apply_table_delta_checked`]) inside
-    /// one transaction attempt — the sharded engine side of the wire
-    /// protocol's `commit` request. A single-shard delta takes the
-    /// single-shard fast path end to end.
+    /// Checked delta commit pruned to the touched shards — the engine
+    /// side of the wire protocol's `commit` request. Each row is
+    /// validated against its pre-image
+    /// ([`crate::engine::apply_table_delta_checked`]). A delta whose keys
+    /// all route to one shard (and names each table once) commits
+    /// delta-direct: validated against the live piece under that shard's
+    /// write lock, with no snapshot and no diff. Anything else runs one
+    /// transaction attempt over the shards its keys route to (2PC when
+    /// there are several).
     pub fn commit_deltas_checked(
         &self,
         deltas: &[(String, Delta)],
     ) -> Result<CommitReceipt, EngineError> {
         let mut keys: Vec<Row> = Vec::new();
+        let topo = self.topology();
         {
-            let topo = self.topology();
             let Some(first) = topo.shards.first() else {
                 return Err(EngineError::ShardTopology("no shards".into()));
             };
@@ -986,6 +1050,30 @@ impl ShardedEngineServer {
                 }
             }
         }
+        let shards: BTreeSet<usize> = keys.iter().map(|k| topo.router.shard_of(k)).collect();
+        let mut names = BTreeSet::new();
+        let distinct_tables = deltas.iter().all(|(name, _)| names.insert(name));
+        if let (1, Some(&index), true) = (shards.len(), shards.first(), distinct_tables) {
+            let nonempty: Vec<(String, Delta)> = deltas
+                .iter()
+                .filter(|(_, d)| !d.is_empty())
+                .cloned()
+                .collect();
+            let rows = nonempty.iter().map(|(_, d)| d.len() as u64).sum();
+            let stamp = self.commit_on_shard(&topo, index, &nonempty, rows, |state| {
+                for (name, delta) in &nonempty {
+                    crate::engine::check_table_delta(state.db.table(name)?, name, delta)?;
+                }
+                Ok(())
+            })?;
+            return Ok(CommitReceipt {
+                stamp,
+                shards: vec![index],
+                deltas: nonempty.into_iter().collect(),
+                gtx: None,
+            });
+        }
+        drop(topo);
         self.transact_keys(&keys, 1, |db| {
             crate::engine::apply_deltas_checked(db, deltas)
         })
@@ -1104,7 +1192,7 @@ impl ShardedEngineServer {
 
         if per_shard.is_empty() {
             return Ok(CommitReceipt {
-                stamp: self.inner.stamp.fetch_add(1, Ordering::SeqCst),
+                stamp: self.next_stamp(),
                 shards: Vec::new(),
                 deltas: BTreeMap::new(),
                 gtx: None,
@@ -1117,51 +1205,19 @@ impl ShardedEngineServer {
             let shard_deltas: Vec<(String, Delta)> =
                 tables.iter().map(|(t, d)| (t.clone(), d.clone())).collect();
             let keys = keys_of(snapshot, &shard_deltas)?;
-            let shard = &topo.shards[index];
-            let tel = &self.inner.telemetry;
-            let mut guard = shard.write();
-            let lock_span = Span::start();
-            let validate_span = Span::start();
-            let validate_tspan =
-                esm_obs::trace::span_tagged("commit_validate", format!("shard:{index}"));
-            let conflict = guard.fcw_conflict(snap_seqs[&index], &keys)?;
-            let validate_ns = validate_span.elapsed_ns();
-            drop(validate_tspan);
-            tel.record(Phase::CommitValidate, validate_ns);
-            if let Some((table, seq)) = conflict {
-                drop(guard);
-                tel.record(Phase::CommitLockHold, lock_span.elapsed_ns());
-                self.inner.metrics.conflict();
-                return Err(EngineError::Conflict {
-                    table,
-                    detail: format!(
-                        "snapshot at seq {} overlaps commit seq {seq} on shard {index}",
-                        snap_seqs[&index]
-                    ),
-                });
-            }
-            // Defer the fsync when the shard has a group-commit gate:
-            // after the lock drops, this session parks on the gate and
-            // one leader fsyncs the whole cross-session batch.
-            let appended =
-                guard.append_group(&shard_deltas, GroupEnd::Commit, shard.has_group_commit())?;
-            let stamp = self.inner.stamp.fetch_add(1, Ordering::SeqCst);
-            drop(guard);
-            shard.wait_group(appended.end.saturating_sub(1))?;
-            let lock_ns = lock_span.elapsed_ns();
-            tel.record(Phase::CommitLockHold, lock_ns);
-            tel.record_slow(
-                "commit:single-shard",
-                lock_ns,
-                &[
-                    (Phase::CommitValidate, validate_ns),
-                    (Phase::CommitLockHold, lock_ns),
-                ],
-            );
-            self.inner.metrics.commit(rows);
-            self.inner.shard_metrics.single_shard_commit();
-            shard.note_commit();
-            self.inner.notifier.publish(stamp);
+            let snap_seq = snap_seqs[&index];
+            let stamp =
+                self.commit_on_shard(topo, index, &shard_deltas, rows, |state| {
+                    match state.fcw_conflict(snap_seq, &keys)? {
+                        None => Ok(()),
+                        Some((table, seq)) => Err(EngineError::Conflict {
+                            table,
+                            detail: format!(
+                            "snapshot at seq {snap_seq} overlaps commit seq {seq} on shard {index}"
+                        ),
+                        }),
+                    }
+                })?;
             return Ok(CommitReceipt {
                 stamp,
                 shards: vec![index],
@@ -1191,7 +1247,7 @@ impl ShardedEngineServer {
             &participants,
             failpoint,
             Some(&self.inner.telemetry),
-            || self.inner.stamp.fetch_add(1, Ordering::SeqCst),
+            || self.next_stamp(),
         );
         drop(twopc_tspan);
         self.inner.telemetry.record_slow(
@@ -1223,15 +1279,73 @@ impl ShardedEngineServer {
         }
     }
 
+    /// Commit one transaction's `deltas` on shard `index` alone — the
+    /// single-shard fast path, no coordination. Under the shard's write
+    /// lock `validate` checks the commit against the live piece (an
+    /// error aborts before anything is written); the deltas are then
+    /// appended write-ahead, applied and stamped. Returns the stamp.
+    fn commit_on_shard(
+        &self,
+        topo: &Topology,
+        index: usize,
+        deltas: &[(String, Delta)],
+        rows: u64,
+        validate: impl FnOnce(&shard::ShardState) -> Result<(), EngineError>,
+    ) -> Result<u64, EngineError> {
+        let shard = &topo.shards[index];
+        let tel = &self.inner.telemetry;
+        let mut guard = shard.write();
+        let lock_span = Span::start();
+        let validate_span = Span::start();
+        let validate_tspan =
+            esm_obs::trace::span_tagged("commit_validate", format!("shard:{index}"));
+        let valid = validate(&guard);
+        let validate_ns = validate_span.elapsed_ns();
+        drop(validate_tspan);
+        tel.record(Phase::CommitValidate, validate_ns);
+        if let Err(e) = valid {
+            drop(guard);
+            tel.record(Phase::CommitLockHold, lock_span.elapsed_ns());
+            if matches!(e, EngineError::Conflict { .. }) {
+                self.inner.metrics.conflict();
+            }
+            return Err(e);
+        }
+        // Defer the fsync when the shard has a group-commit gate: after
+        // the lock drops, this session parks on the gate and one leader
+        // fsyncs the whole cross-session batch.
+        let appended = guard.append_group(deltas, GroupEnd::Commit, shard.has_group_commit())?;
+        let stamp = self.next_stamp();
+        guard.note_stamp(stamp);
+        drop(guard);
+        shard.wait_group(appended.end.saturating_sub(1))?;
+        let lock_ns = lock_span.elapsed_ns();
+        tel.record(Phase::CommitLockHold, lock_ns);
+        tel.record_slow(
+            "commit:single-shard",
+            lock_ns,
+            &[
+                (Phase::CommitValidate, validate_ns),
+                (Phase::CommitLockHold, lock_ns),
+            ],
+        );
+        self.inner.metrics.commit(rows);
+        self.inner.shard_metrics.single_shard_commit();
+        shard.note_commit();
+        self.inner.notifier.publish(stamp);
+        Ok(stamp)
+    }
+
     // ------------------------------------------------------------------
     // Views (the EntangledView facade).
     // ------------------------------------------------------------------
 
-    /// Compile and register a named entangled view over `table` — same
-    /// contract as [`crate::EngineServer::define_view`], except the base
-    /// table spans shards and clients stay routing-oblivious. Columns
-    /// the view's select stages constrain get secondary indexes on every
-    /// shard's piece.
+    /// Compile and register a named entangled view over `table`. The
+    /// definition is validated against the current table state, the base
+    /// table may span shards (clients stay routing-oblivious), and
+    /// columns the view's select stages constrain get secondary indexes
+    /// on every shard's piece, so reads seek instead of scanning.
+    /// Windows materialize on first read.
     pub fn define_view(
         &self,
         name: impl Into<String>,
@@ -1314,10 +1428,15 @@ impl ShardedEngineServer {
         Arc::clone(&self.inner.notifier)
     }
 
-    /// The last *issued* global commit stamp (the stamp counter starts
-    /// at 1, so an untouched engine reports 0).
+    /// Issue the next global commit stamp.
+    fn next_stamp(&self) -> u64 {
+        self.inner.stamp.fetch_add(STAMP_STRIDE, Ordering::SeqCst)
+    }
+
+    /// The last *issued* global commit stamp (an untouched engine
+    /// reports its base, which stands for the state it started with).
     fn last_stamp(&self) -> u64 {
-        self.inner.stamp.load(Ordering::SeqCst).saturating_sub(1)
+        self.inner.stamp.load(Ordering::SeqCst) - STAMP_STRIDE
     }
 
     /// The subscription cursor a fresh subscriber of `name` should start
@@ -1327,33 +1446,86 @@ impl ShardedEngineServer {
         self.with_view(name, |_| Ok(self.last_stamp()))
     }
 
-    /// Everything settled past `cursor` for view `name`.
+    /// Everything settled past `cursor` for view `name`, coalesced into
+    /// one view-level delta — the subscription fan-out primitive.
     ///
-    /// The sharded engine's cursor is the global commit *stamp*, which
-    /// is coarser than a per-shard WAL sequence: when anything has
-    /// committed past the cursor the whole current window is returned as
-    /// a resync (reflecting at least the stamp read before the window).
-    /// Subscribers stay correct — they just pay resync granularity
-    /// rather than O(delta) — and an idle view still short-circuits to
-    /// an empty batch.
+    /// The cursor is the global commit stamp. Each in-run shard maps it
+    /// to its own WAL position through its stamp index
+    /// (`ShardState::seq_at_stamp`); the committed records past
+    /// that position are translated through the lens's propagator and
+    /// coalesced under the in-run shard read locks, **without touching
+    /// the view's window mutex** — O(delta), and drains never serialize
+    /// against readers or each other. A full-window *resync* answers a
+    /// cursor the index cannot map (below its floor: older than the
+    /// engine, a truncated log prefix, or the last split/merge), a
+    /// cursor ahead of the current stamp (the `u64::MAX` force-resync
+    /// sentinel included), a cursor another engine instance issued (an
+    /// earlier run of a recovered engine, or another server; see
+    /// `stamp_base`), and a record that hits the lens's rebuild escape
+    /// hatch.
     pub fn view_deltas_since(&self, name: &str, cursor: u64) -> Result<ViewDeltas, EngineError> {
-        // Read the stamp *before* the window so the window reflects at
-        // least `cur` and advancing the subscriber to it loses nothing.
-        let cur = self.last_stamp();
-        if cursor == cur {
+        if cursor == self.last_stamp() {
             // Nothing stamped past the cursor; still validate the name.
             return self.with_view(name, |_| Ok(ViewDeltas::empty(cursor)));
         }
-        // A cursor that isn't exactly the current stamp — behind it,
-        // ahead of it (a stale or corrupt resume), or the explicit
-        // u64::MAX force-resync sentinel — gets the full window.
-        let window = self.read_view(name)?;
-        Ok(ViewDeltas {
-            from_seq: cursor,
-            to_seq: cur,
-            delta: Delta::empty(),
-            resync: Some(window),
-        })
+        let drain_span = Span::start();
+        let tspan = esm_obs::trace::span_tagged("sub_drain", name);
+        let drained = self.with_view(name, |reg| {
+            let topo = self.topology();
+            let run = self.view_shard_run(&topo, reg);
+            let guards: Vec<_> = run.iter().map(|&i| topo.shards[i].read()).collect();
+            // Stamps are taken under the participants' write locks, so
+            // every commit stamped at or below `to` that touched an
+            // in-run shard has finished on it.
+            let to = self.last_stamp();
+            if cursor > to || cursor % STAMP_STRIDE != to % STAMP_STRIDE {
+                // Ahead of this engine, or another instance's stamp.
+                return Ok(None);
+            }
+            let mut view_deltas = Vec::new();
+            for guard in &guards {
+                let Some(seq) = guard.seq_at_stamp(cursor) else {
+                    return Ok(None);
+                };
+                let Some(pending) =
+                    committed_table_deltas(&reg.table, guard.wal.records_after(seq))
+                else {
+                    // Unsettled trailing transaction: push once it settles.
+                    return Ok(Some(ViewDeltas::empty(cursor)));
+                };
+                for delta in pending {
+                    match reg.lens.get_delta(delta) {
+                        DeltaOutcome::View(vd) => view_deltas.push(vd),
+                        DeltaOutcome::Rebuild => return Ok(None),
+                    }
+                }
+            }
+            Ok(Some(ViewDeltas {
+                from_seq: cursor,
+                to_seq: to,
+                delta: Delta::coalesce(view_deltas, &reg.schema.key_indices()),
+                resync: None,
+            }))
+        });
+        self.inner
+            .telemetry
+            .record(Phase::SubDrain, drain_span.elapsed_ns());
+        drop(tspan);
+        match drained? {
+            Some(batch) => Ok(batch),
+            None => {
+                // Read the stamp *before* the window so the window
+                // reflects at least `to` and resuming from it loses
+                // nothing.
+                let to = self.last_stamp();
+                Ok(ViewDeltas {
+                    from_seq: cursor,
+                    to_seq: to,
+                    delta: Delta::empty(),
+                    resync: Some(self.read_view(name)?),
+                })
+            }
+        }
     }
 
     /// Registered view names, sorted.
@@ -1447,7 +1619,7 @@ impl ShardedEngineServer {
                 }
                 drop(guards);
                 // A materialized read means *no* window re-ran its lens
-                // get — same accounting as the unsharded engine.
+                // get.
                 if clean {
                     self.inner.metrics.view_materialized();
                 }
@@ -1552,7 +1724,9 @@ impl ShardedEngineServer {
     /// view's whole visible window; the resulting base delta routes per
     /// key and commits like any transaction (2PC when it spans shards),
     /// retrying internally until it lands — concurrent putters are
-    /// last-writer-wins, like the unsharded engine. Returns the
+    /// last-writer-wins. For read-modify-write edits that must not lose
+    /// concurrent updates, use
+    /// [`ShardedEngineServer::edit_view_optimistic`]. Returns the
     /// base-table delta.
     ///
     /// Snapshots are pruned to the shards the view's key bounds can
@@ -1609,8 +1783,8 @@ impl ShardedEngineServer {
     }
 
     /// Transactionally edit a view (optimistic, first-committer-wins
-    /// with up to `attempts` retries) — the sharded
-    /// [`crate::EngineServer::edit_view_optimistic`]. Snapshots are
+    /// with up to `attempts` retries): read the view, apply `edit`, `put`
+    /// it back, and revalidate against the WAL at commit. Snapshots are
     /// pruned like [`ShardedEngineServer::write_view`]'s, with the same
     /// widen-on-stray fallback.
     pub fn edit_view_optimistic(

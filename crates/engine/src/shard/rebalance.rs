@@ -114,9 +114,9 @@ impl ShardedEngineServer {
 
         topo.router = router;
         topo.shards.insert(new_index, new_shard);
-        // Materialized view windows hold per-shard WAL cursors; a layout
-        // change invalidates them (they rebuild on next read).
-        topo.epoch += 1;
+        // Materialized view windows and subscription cursors map to
+        // per-shard WAL positions; a layout change invalidates both.
+        self.start_epoch(&mut topo);
         self.inner.shard_metrics.split(moved_rows);
         Ok(new_index)
     }
@@ -188,7 +188,7 @@ impl ShardedEngineServer {
 
         topo.router = router;
         topo.shards.remove(left + 1);
-        topo.epoch += 1;
+        self.start_epoch(&mut topo);
         self.inner.shard_metrics.merge(moved_rows);
         Ok(())
     }

@@ -9,15 +9,14 @@
 //! order and run two-phase commit over the per-shard WALs (see
 //! [`crate::shard::coordinator`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use esm_store::{Database, Delta, Row};
+use esm_store::{Database, Delta, Row, Table};
 
 use crate::durable::{DurabilityConfig, DurableWal, GroupCommit, RecoveryReport};
 use crate::error::EngineError;
-use crate::tx::delta_keys;
 use crate::wal::{Wal, WalRecord};
 
 /// How a transaction's chain of records on one shard terminates.
@@ -43,9 +42,71 @@ pub(crate) struct ShardState {
     /// The state the in-memory WAL replays over (construction snapshot
     /// or recovery result).
     pub baseline: Database,
+    /// The commit-stamp index: `(global stamp, last WAL seq)` for every
+    /// commit stamped on this shard, in stamp order. It maps a
+    /// subscriber's stamp cursor to this shard's WAL position (see
+    /// [`ShardState::seq_at_stamp`]).
+    stamps: VecDeque<(u64, u64)>,
+    /// The index's floor: cursors below its stamp predate the index and
+    /// cannot be mapped; cursors at or above it with no later entry map
+    /// to its seq.
+    stamp_floor: (u64, u64),
+}
+
+/// The primary keys a delta touches.
+fn delta_keys(table: &Table, delta: &Delta) -> BTreeSet<Row> {
+    delta
+        .inserted
+        .iter()
+        .chain(delta.deleted.iter())
+        .map(|row| table.key_of(row))
+        .collect()
 }
 
 impl ShardState {
+    fn new(db: Database, wal: Wal, durable: Option<DurableWal>) -> ShardState {
+        let stamp_floor = (0, wal.last_seq());
+        ShardState {
+            baseline: db.clone(),
+            db,
+            wal,
+            durable,
+            stamps: VecDeque::new(),
+            stamp_floor,
+        }
+    }
+
+    /// Record that the commit stamped `stamp` ends at this shard's
+    /// current WAL tail. Called under the shard write lock, so entries
+    /// arrive in stamp order.
+    pub fn note_stamp(&mut self, stamp: u64) {
+        self.stamps.push_back((stamp, self.wal.last_seq()));
+    }
+
+    /// Restart the stamp index at `stamp` ↔ the current WAL tail,
+    /// forgetting every older entry: cursors below `stamp` can no longer
+    /// be mapped (engine construction and topology changes).
+    pub fn reset_stamps(&mut self, stamp: u64) {
+        self.stamps.clear();
+        self.stamp_floor = (stamp, self.wal.last_seq());
+    }
+
+    /// The WAL seq this shard had reached at global stamp `cursor`:
+    /// every commit stamped at or below it is folded in, none above.
+    /// `None` when the cursor predates the index or the records past
+    /// that seq were truncated away.
+    pub fn seq_at_stamp(&self, cursor: u64) -> Option<u64> {
+        if cursor < self.stamp_floor.0 {
+            return None;
+        }
+        let idx = self.stamps.partition_point(|&(stamp, _)| stamp <= cursor);
+        let seq = match idx {
+            0 => self.stamp_floor.1,
+            i => self.stamps[i - 1].1,
+        };
+        (seq >= self.wal.start_seq()).then_some(seq)
+    }
+
     /// First-committer-wins: does any record committed after `snap_seq`
     /// touch a key in `our_keys`? Markers carry no keys and never
     /// conflict. Returns the conflicting `(table, seq)` if so.
@@ -114,7 +175,7 @@ impl ShardState {
         }
         // Write ahead: the durable log sees every record before anything
         // is applied; an I/O failure publishes nothing here and poisons
-        // the durable log (fail-stop, like the unsharded paths).
+        // the durable log (fail-stop).
         if let Some(durable) = self.durable.as_mut() {
             for rec in &records {
                 if defer_sync {
@@ -199,6 +260,20 @@ impl ShardState {
         let dropped = self.wal.truncate_through(cut)?;
         let count = dropped.len() as u64;
         self.baseline = Wal::from_records(dropped).replay(&self.baseline)?;
+        // Keep the last index entry at or below the new log start as the
+        // floor; entries before it can no longer be drained from.
+        let start = self.wal.start_seq();
+        while let Some(&(stamp, seq)) = self.stamps.front() {
+            if seq > start {
+                break;
+            }
+            self.stamp_floor = (stamp, seq);
+            self.stamps.pop_front();
+        }
+        // Truncation cuts at settled boundaries, so the records between
+        // the floor and the new start carry no stamp (aborted 2PC
+        // branches): the floor's stamp reaches the new start too.
+        self.stamp_floor.1 = self.stamp_floor.1.max(start);
         Ok(count)
     }
 }
@@ -231,12 +306,7 @@ impl Shard {
         Shard {
             inner: Arc::new(ShardInner {
                 id,
-                state: RwLock::new(ShardState {
-                    baseline: db.clone(),
-                    db,
-                    wal: Wal::new(),
-                    durable: None,
-                }),
+                state: RwLock::new(ShardState::new(db, Wal::new(), None)),
                 group: None,
                 commits: AtomicU64::new(0),
             }),
@@ -255,12 +325,7 @@ impl Shard {
         Ok(Shard {
             inner: Arc::new(ShardInner {
                 id,
-                state: RwLock::new(ShardState {
-                    baseline: db.clone(),
-                    db,
-                    wal: Wal::new(),
-                    durable: Some(durable),
-                }),
+                state: RwLock::new(ShardState::new(db, Wal::new(), Some(durable))),
                 group,
                 commits: AtomicU64::new(0),
             }),
@@ -280,12 +345,11 @@ impl Shard {
             Shard {
                 inner: Arc::new(ShardInner {
                     id,
-                    state: RwLock::new(ShardState {
-                        baseline: db.clone(),
+                    state: RwLock::new(ShardState::new(
                         db,
-                        wal: Wal::starting_at(report.last_seq),
-                        durable: Some(durable),
-                    }),
+                        Wal::starting_at(report.last_seq),
+                        Some(durable),
+                    )),
                     group: group.map(|()| Arc::new(GroupCommit::new(report.last_seq))),
                     commits: AtomicU64::new(0),
                 }),
@@ -438,6 +502,44 @@ mod tests {
             assert_eq!(state.db.table("t").unwrap().len(), 2);
         }
         assert_eq!(shard.recovered_database().unwrap(), shard.read().db);
+    }
+
+    #[test]
+    fn stamp_index_maps_cursors_across_truncation() {
+        let shard = Shard::new_in_memory(0, piece());
+        let mut state = shard.write();
+        assert_eq!(state.seq_at_stamp(0), Some(0));
+        for (stamp, id) in [(3, 2), (5, 3), (9, 4)] {
+            state
+                .append_group(&[ins(id)], GroupEnd::Commit, false)
+                .unwrap();
+            state.note_stamp(stamp);
+        }
+        // A stamp maps to the last commit stamped at or below it.
+        assert_eq!(state.seq_at_stamp(2), Some(0));
+        assert_eq!(state.seq_at_stamp(4), Some(1));
+        assert_eq!(state.seq_at_stamp(100), Some(3));
+        // Truncating through seq 2 makes stamp 5 the floor: cursors
+        // below it can no longer be drained from.
+        state.truncate_wal(2).unwrap();
+        assert_eq!(state.seq_at_stamp(4), None);
+        assert_eq!(state.seq_at_stamp(5), Some(2));
+        assert_eq!(state.seq_at_stamp(9), Some(3));
+        // A reset (topology change) forgets everything below its stamp.
+        state.reset_stamps(12);
+        assert_eq!(state.seq_at_stamp(11), None);
+        assert_eq!(state.seq_at_stamp(12), Some(3));
+        // A truncation past records no stamp covers (an aborted 2PC
+        // branch) raises the floor to the new log start: the floor's
+        // stamp still maps, and nothing it misses was committed.
+        state
+            .append_group(&[ins(5)], GroupEnd::Prepare("g".into()), false)
+            .unwrap();
+        state.resolve("g", false, &[ins(5)], false).unwrap();
+        state.truncate_wal(6).unwrap();
+        assert_eq!(state.wal.start_seq(), 6);
+        assert_eq!(state.seq_at_stamp(11), None);
+        assert_eq!(state.seq_at_stamp(12), Some(6));
     }
 
     #[test]

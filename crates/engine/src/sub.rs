@@ -15,8 +15,10 @@
 //!   (cursor truncated out of the WAL, a lens propagation escape hatch,
 //!   or an engine without incremental support).
 //!
-//! The cursor contract: a subscriber holds an opaque `u64` cursor (a WAL
-//! sequence number on [`crate::EngineServer`], a commit epoch elsewhere).
+//! The cursor contract: a subscriber holds an opaque `u64` cursor (the
+//! global commit stamp on [`crate::ShardedEngineServer`], which each
+//! shard maps to its own WAL position; a cursor another engine instance
+//! issued resyncs).
 //! `Engine::view_deltas_since(name, cursor)` returns everything settled
 //! past it, O(delta) where the engine supports it; applying `delta` to a
 //! window that reflects `from_seq` (or adopting `resync` wholesale)

@@ -1,11 +1,10 @@
 //! The engine conformance suite: one body of checks, any [`Engine`].
 //!
 //! Everything here is written against `&dyn Engine` — no downcasts, no
-//! host-shape branches — so the *same code path* exercises the
-//! unsharded [`crate::EngineServer`], the sharded
-//! [`crate::shard::ShardedEngineServer`], and (from the `esm-net`
-//! crate's tests) a `RemoteEngine` talking to either of them over a
-//! real socket. A handle that behaves differently under any of these
+//! host-shape branches — so the *same code path* exercises
+//! [`crate::shard::ShardedEngineServer`] over one shard and over many,
+//! and (from the `esm-net` crate's tests) a `RemoteEngine` talking to
+//! it over a real socket. A handle that behaves differently under any of these
 //! checks is not an [`Engine`].
 //!
 //! The central law is the **incremental/recompute equivalence** from
@@ -178,10 +177,9 @@ pub fn check_view_maintenance(engine: &dyn Engine, ops: &[(u8, i64, i64)]) {
     for (name, def) in &defs {
         engine.define_view(name, "t", def).expect("view compiles");
     }
-    // Warm-up read: the unsharded engine materializes at registration,
-    // the sharded one lazily on first read — after one read of each
-    // view, every host's windows exist and the rebuild counter is at
-    // its registration plateau.
+    // Warm-up read: windows materialize lazily on first read — after
+    // one read of each view, every host's windows exist and the rebuild
+    // counter is at its registration plateau.
     for (name, _) in &defs {
         engine.read_view(name).expect("view readable");
     }
@@ -370,7 +368,7 @@ pub fn check_surface_smoke(engine: &dyn Engine) {
         assert!(metrics.wal.appends >= 2, "durable host dropped wal stats");
     }
     // Telemetry reaches every implementor: the commits above must have
-    // timed their stripe-lock hold (in-memory and durable, local and
+    // timed their shard-lock hold (in-memory and durable, local and
     // remote alike), and the snapshot carries a live capture policy.
     let tel = engine.telemetry().expect("telemetry readable");
     assert!(

@@ -8,10 +8,9 @@
 //! state is entangled, not copied.
 //!
 //! A view handle is **host-location-oblivious**: it fronts any
-//! [`Engine`] — a single [`crate::EngineServer`], a
-//! [`crate::shard::ShardedEngineServer`] whose base table is partitioned
-//! over many shards, or a `RemoteEngine` speaking the wire protocol from
-//! another process. The client API is identical everywhere; routing,
+//! [`Engine`] — a [`crate::shard::ShardedEngineServer`] over one shard
+//! or many, a read-only [`crate::ReplicaEngine`], or a `RemoteEngine`
+//! speaking the wire protocol from another process. The client API is identical everywhere; routing,
 //! two-phase commit and network framing all stay under the trait.
 
 use std::sync::Arc;
@@ -19,9 +18,9 @@ use std::sync::Arc;
 use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_store::{Delta, Table};
 
+use crate::engine::DEFAULT_OPTIMISTIC_ATTEMPTS;
 use crate::engine::{ArcEngine, Engine};
 use crate::error::EngineError;
-use crate::server::DEFAULT_OPTIMISTIC_ATTEMPTS;
 
 /// A client handle onto one named view of an engine. Cheap to clone and
 /// [`Send`], so each worker thread can own one.
@@ -48,7 +47,7 @@ impl EntangledView {
         &self.name
     }
 
-    /// The engine hosting this view — uniform across unsharded, sharded
+    /// The engine hosting this view — uniform across local, replica
     /// and remote hosts (downcast-free: everything a client needs is on
     /// the [`Engine`] trait).
     pub fn engine(&self) -> &dyn Engine {
@@ -131,11 +130,11 @@ pub(crate) fn drain_into_window<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::EngineServer;
+    use crate::shard::ShardedEngineServer;
     use esm_relational::ViewDef;
     use esm_store::{row, Database, Operand, Predicate, Schema, Table, ValueType};
 
-    fn engine() -> EngineServer {
+    fn engine() -> ShardedEngineServer {
         let schema = Schema::build(
             &[
                 ("id", ValueType::Int),
@@ -148,7 +147,7 @@ mod tests {
         let t = Table::from_rows(schema, vec![row![1, "a", 10], row![2, "b", 20]]).unwrap();
         let mut db = Database::new();
         db.create_table("t", t).unwrap();
-        EngineServer::new(db)
+        ShardedEngineServer::new(db, 1).unwrap()
     }
 
     #[test]
@@ -183,7 +182,7 @@ mod tests {
         v.delete_by_key(&row![2]);
         let delta = all.put(v).unwrap();
         assert_eq!(delta.deleted, vec![row![2, "b", 20]]);
-        assert_eq!(e.wal().len(), 1);
+        assert_eq!(e.shard_wals()[0].len(), 1);
         // The host is reachable uniformly through the trait, whatever
         // kind of engine it is.
         assert_eq!(all.engine().table_names().unwrap(), vec!["t"]);

@@ -21,7 +21,7 @@
 //! Both runs additionally race **reader** threads against the writers:
 //! every read is served from a maintained materialized view window, and
 //! each must be a consistent committed state — counters never run
-//! backwards between successive reads (unsharded), and the money
+//! backwards between successive reads (one shard), and the money
 //! invariant holds in every snapshot (sharded: bumps add 1000, transfer
 //! amounts are < 1000, so a half-applied cross-shard transfer would be
 //! visible as `sum % 1000 != initial`).
@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use esm_engine::{EngineServer, ShardRouter, ShardedEngineServer};
+use esm_engine::{ShardRouter, ShardedEngineServer};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Row, Schema, Table, Value, ValueType};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -129,7 +129,7 @@ fn random_interleavings_match_the_single_threaded_oracle() {
     // scheduler supplies fresh interleavings on every run besides.
     for seed in [11, 42, 2026] {
         let scripts = scripts(seed);
-        let engine = EngineServer::new(baseline());
+        let engine = ShardedEngineServer::new(baseline(), 1).unwrap();
         engine
             .define_view("all", "accounts", &ViewDef::base())
             .expect("compiles");
@@ -228,7 +228,7 @@ fn random_interleavings_match_the_single_threaded_oracle() {
         assert_eq!(final_view, engine.table("accounts").expect("exists"));
 
         let live = engine.snapshot();
-        let wal = engine.wal();
+        let wal = engine.shard_wals().remove(0);
 
         // Law 0: the engine committed exactly one record per logical op.
         assert_eq!(wal.len(), THREADS * OPS_PER_THREAD, "seed {seed}");
@@ -236,7 +236,7 @@ fn random_interleavings_match_the_single_threaded_oracle() {
 
         // Law 1: replaying the recorded deltas reproduces the live state.
         assert_eq!(
-            wal.replay(&engine.baseline()).expect("replays"),
+            engine.recovered_database().expect("replays"),
             live,
             "seed {seed}"
         );

@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use esm_engine::{
-    Durability, DurabilityConfig, Engine, EngineServer, Phase, SegmentWriter, ShardRouter,
-    ShardedEngineServer, SimFile, Telemetry, Wal, WalRecord,
+    DurabilityConfig, Engine, Phase, SegmentWriter, ShardRouter, ShardedEngineServer, SimFile,
+    Telemetry, Wal, WalRecord,
 };
 use esm_store::{row, Database, Delta, Row, Schema, Table, ValueType};
 
@@ -102,15 +102,13 @@ fn a_slow_disk_shifts_only_the_fsync_histogram() {
 #[test]
 fn durable_commits_record_every_commit_phase() {
     let dir = fresh_dir("engine-phases");
-    let engine = EngineServer::with_durability(
+    let engine = ShardedEngineServer::with_durability(
         seed_db(16),
-        16,
-        Durability::Durable(
-            DurabilityConfig::new(&dir)
-                .group_commit(1)
-                .checkpoint_every(0)
-                .maintenance_interval_ms(0),
-        ),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0),
     )
     .unwrap();
     for i in 0..4i64 {
@@ -166,6 +164,21 @@ fn cross_shard_commits_record_the_twopc_phases_per_participant() {
     assert_eq!(tel.count(Phase::TwopcPrepare), 2);
     assert_eq!(tel.count(Phase::TwopcResolve), 2);
     assert_eq!(tel.count(Phase::TwopcParticipantFsync), 4);
+    // The transaction as a whole validates once and holds its
+    // participant locks once: one sample each per cross-shard commit.
+    assert_eq!(tel.count(Phase::CommitValidate), 1);
+    assert_eq!(tel.count(Phase::CommitLockHold), 1);
+    engine
+        .transact_keys(&[row![2], row![31]], 4, |db| {
+            let t = db.table_mut("kv")?;
+            t.upsert(row![2, "c"])?;
+            t.upsert(row![31, "d"])?;
+            Ok(())
+        })
+        .unwrap();
+    let tel = engine.telemetry();
+    assert_eq!(tel.count(Phase::CommitValidate), 2);
+    assert_eq!(tel.count(Phase::CommitLockHold), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -173,15 +186,13 @@ fn cross_shard_commits_record_the_twopc_phases_per_participant() {
 fn dyn_engine_metrics_merge_wal_stats_on_durable_hosts() {
     let dir = fresh_dir("metrics-merge");
     let single: Box<dyn Engine> = Box::new(
-        EngineServer::with_durability(
+        ShardedEngineServer::with_durability(
             seed_db(8),
-            16,
-            Durability::Durable(
-                DurabilityConfig::new(dir.join("single"))
-                    .group_commit(1)
-                    .checkpoint_every(0)
-                    .maintenance_interval_ms(0),
-            ),
+            ShardRouter::single(),
+            DurabilityConfig::new(dir.join("single"))
+                .group_commit(1)
+                .checkpoint_every(0)
+                .maintenance_interval_ms(0),
         )
         .unwrap(),
     );
@@ -224,7 +235,7 @@ fn dyn_engine_metrics_merge_wal_stats_on_durable_hosts() {
 
 #[test]
 fn slow_ops_capture_phase_breakdowns_and_stay_bounded() {
-    let engine = EngineServer::new(seed_db(8));
+    let engine = ShardedEngineServer::new(seed_db(8), 1).unwrap();
     // Force everything to qualify as slow.
     engine.telemetry_registry().set_slow_threshold_ns(0);
     for i in 0..100i64 {
@@ -254,16 +265,14 @@ fn slow_ops_capture_phase_breakdowns_and_stay_bounded() {
 #[test]
 fn wal_append_and_fsync_remain_separable_after_rotation() {
     let dir = fresh_dir("rotation");
-    let engine = EngineServer::with_durability(
+    let engine = ShardedEngineServer::with_durability(
         seed_db(8),
-        16,
-        Durability::Durable(
-            DurabilityConfig::new(&dir)
-                .group_commit(1)
-                .checkpoint_every(0)
-                .maintenance_interval_ms(0)
-                .segment_bytes(256),
-        ),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0)
+            .segment_bytes(256),
     )
     .unwrap();
     for i in 0..12i64 {

@@ -9,10 +9,7 @@
 //! chained transaction, or dropping the only evidence of a 2PC outcome.
 
 use esm_engine::testkit::seed_db;
-use esm_engine::{
-    Durability, DurabilityConfig, EngineError, EngineServer, ShardRouter, ShardedEngineServer, Wal,
-    WalRecord,
-};
+use esm_engine::{DurabilityConfig, EngineError, ShardRouter, ShardedEngineServer, Wal, WalRecord};
 use esm_relational::ViewDef;
 use esm_store::{row, Delta, Operand, Predicate};
 
@@ -59,7 +56,7 @@ fn settled_prefix_respects_chains_and_prepares() {
 
 #[test]
 fn truncation_is_gated_on_the_laggard_view_cursor() {
-    let engine = EngineServer::new(seed_db());
+    let engine = ShardedEngineServer::new(seed_db(), 1).unwrap();
     let fast = engine.define_view("fast", "t", &ViewDef::base()).unwrap();
     let slow = engine
         .define_view(
@@ -68,7 +65,10 @@ fn truncation_is_gated_on_the_laggard_view_cursor() {
             &ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(40))),
         )
         .unwrap();
-    // Both cursors sit at registration (seq 0): nothing can go.
+    // Windows materialize on first read: read both now, so both cursors
+    // sit at seq 0 and nothing can go.
+    fast.get().unwrap();
+    slow.get().unwrap();
     for i in 0..10i64 {
         engine
             .edit_view_optimistic("fast", 4, move |v| {
@@ -77,19 +77,19 @@ fn truncation_is_gated_on_the_laggard_view_cursor() {
             })
             .unwrap();
     }
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
-    assert_eq!(engine.wal().len(), 10);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
+    assert_eq!(engine.shard_wals()[0].len(), 10);
 
     // Only the fast view reads: the slow cursor still pins the log.
     fast.get().unwrap();
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
 
     // Once the laggard catches up the whole prefix drops…
     slow.get().unwrap();
-    let dropped = engine.truncate_wal().unwrap();
+    let dropped = engine.truncate_wals().unwrap();
     assert_eq!(dropped, 10);
-    assert_eq!(engine.wal().len(), 0);
-    assert_eq!(engine.wal().start_seq(), 10);
+    assert_eq!(engine.shard_wals()[0].len(), 0);
+    assert_eq!(engine.shard_wals()[0].start_seq(), 10);
     let m = engine.metrics();
     assert_eq!(m.wal_truncations, 1);
     assert_eq!(m.wal_records_truncated, 10);
@@ -113,7 +113,7 @@ fn truncation_is_gated_on_the_laggard_view_cursor() {
 
 #[test]
 fn truncation_respects_chained_transactions() {
-    let engine = EngineServer::new(seed_db());
+    let engine = ShardedEngineServer::new(seed_db(), 1).unwrap();
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
     // A multi-table transaction appends a chained group (seed_db has
     // one table, so force chains through two transact tables by using
@@ -126,7 +126,7 @@ fn truncation_respects_chained_transactions() {
         })
         .unwrap();
     all.get().unwrap();
-    let dropped = engine.truncate_wal().unwrap();
+    let dropped = engine.truncate_wals().unwrap();
     assert!(dropped >= 1);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
 }
@@ -138,7 +138,8 @@ fn durable_truncation_waits_for_the_checkpoint() {
     let cfg = DurabilityConfig::new(&dir)
         .checkpoint_every(6)
         .maintenance_interval_ms(0);
-    let engine = EngineServer::with_durability(seed_db(), 4, Durability::Durable(cfg)).unwrap();
+    let engine =
+        ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), cfg).unwrap();
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
     for i in 0..4i64 {
         engine
@@ -151,7 +152,7 @@ fn durable_truncation_waits_for_the_checkpoint() {
     all.get().unwrap();
     // The view cursor passed everything, but the durable checkpoint
     // (interval 6) has not: nothing may drop yet.
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
 
     for i in 4..8i64 {
         engine
@@ -164,15 +165,16 @@ fn durable_truncation_waits_for_the_checkpoint() {
     all.get().unwrap();
     // run_maintenance checkpoints (8 records >= interval 6) and then
     // truncates below min(cursor, checkpoint).
-    let covered = engine.run_maintenance().unwrap();
-    assert!(covered.is_some());
-    assert!(engine.wal().start_seq() > 0);
+    let checkpoints = engine.metrics().wal.checkpoints;
+    engine.run_maintenance().unwrap();
+    assert!(engine.metrics().wal.checkpoints > checkpoints);
+    assert!(engine.shard_wals()[0].start_seq() > 0);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
     drop(engine);
 
     // Crash-recover the directory: the durable history is intact even
     // though the in-memory log was truncated.
-    let (recovered, _) = EngineServer::recover(&dir).unwrap();
+    let (recovered, _) = ShardedEngineServer::recover(&dir).unwrap();
     let snap = recovered.snapshot();
     assert_eq!(snap.table("t").unwrap().len(), 48);
     let _ = std::fs::remove_dir_all(&dir);
@@ -233,7 +235,7 @@ fn sharded_truncation_drops_per_shard_prefixes() {
 
 #[test]
 fn maintenance_keeps_the_log_bounded_under_steady_load() {
-    let engine = EngineServer::new(seed_db());
+    let engine = ShardedEngineServer::new(seed_db(), 1).unwrap();
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
     let mut max_len = 0;
     for round in 0..20i64 {
@@ -247,11 +249,11 @@ fn maintenance_keeps_the_log_bounded_under_steady_load() {
         }
         all.get().unwrap();
         engine.run_maintenance().unwrap();
-        max_len = max_len.max(engine.wal().len());
+        max_len = max_len.max(engine.shard_wals()[0].len());
     }
     // 200 commits flowed through; the log never held more than one
     // round's worth.
     assert!(max_len <= 10, "log grew unbounded: {max_len}");
-    assert_eq!(engine.wal().start_seq(), 200);
+    assert_eq!(engine.shard_wals()[0].start_seq(), 200);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
 }

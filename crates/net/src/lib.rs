@@ -2,9 +2,10 @@
 //!
 //! The paper's entangled state monads are client handles onto shared
 //! hidden state; this crate puts a socket between the handle and the
-//! state. One [`NetServer`] fronts any [`esm_engine::Engine`] (a
-//! lock-striped [`esm_engine::EngineServer`] or a key-range-sharded
-//! [`esm_engine::ShardedEngineServer`]) and multiplexes many client
+//! state. One [`NetServer`] fronts any [`esm_engine::Engine`] (the
+//! key-range-sharded [`esm_engine::ShardedEngineServer`], over one shard
+//! or many, or a read-only [`esm_engine::ReplicaEngine`]) and
+//! multiplexes many client
 //! connections onto it; [`RemoteEngine`] implements the same `Engine`
 //! trait on the client side, so an [`esm_engine::EntangledView`] is
 //! **host-location-oblivious** — the code (and the conformance suite)
@@ -19,8 +20,8 @@
 //! └────────────────────┘             │  ├ worker pool ── Session   │
 //!        × thousands                 │  │   per connection         │
 //!                                    │  └ Arc<dyn Engine>          │
-//!                                    │     ├ EngineServer          │
-//!                                    │     └ ShardedEngineServer   │
+//!                                    │     ├ ShardedEngineServer   │
+//!                                    │     └ ReplicaEngine         │
 //!                                    └─────────────────────────────┘
 //! ```
 //!
@@ -50,8 +51,8 @@
 //! cursor ([`esm_engine::Engine::view_deltas_since`], O(changes) in the
 //! commit, not O(view)) and pushes one coalesced `PUSH` frame:
 //! `(from_seq, to_seq, delta)` or, when the engine cannot reconstruct
-//! the gap (cursor fell out of the WAL window, lens rebuild, sharded
-//! stamp granularity), a full-window `resync`. Applying frames in
+//! the gap (cursor fell out of the WAL window, lens rebuild, a shard
+//! split or merge since the cursor), a full-window `resync`. Applying frames in
 //! arrival order — [`client::PushEvent::apply`] — reproduces the
 //! server-side view; re-delivered deltas apply idempotently.
 //!

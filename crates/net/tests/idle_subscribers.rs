@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use esm_engine::testkit::seed_db;
-use esm_engine::{Engine, EngineServer};
+use esm_engine::{Engine, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine, SubscriptionClient};
 use esm_relational::ViewDef;
 
@@ -35,7 +35,7 @@ fn process_cpu_seconds() -> f64 {
 #[test]
 fn a_thousand_idle_subscribers_cost_no_cpu() {
     let server = NetServer::bind(
-        EngineServer::new(seed_db()).as_engine(),
+        ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine(),
         "127.0.0.1:0",
         NetServerConfig::default(),
     )

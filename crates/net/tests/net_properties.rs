@@ -342,3 +342,27 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// A view definition is base/select/project/rename stages and nothing
+/// else: any other stage keyword — `eager` included — is the codec's
+/// ordinary unknown-stage error, in both the text and the binary form.
+#[test]
+fn unknown_view_stages_are_refused() {
+    let stages = "@viewdef\t2\nbase\neager\n";
+    let text = format!("define_view\tv\tt\n{stages}");
+    let err = Request::decode(text.as_bytes()).expect_err("text form refused");
+    assert!(err.0.contains("bad view stage `eager`"), "{err}");
+
+    // The binary form carries the same stage list as its last field.
+    let base_only = "@viewdef\t1\nbase\n";
+    let valid = Request::DefineView {
+        name: "v".into(),
+        table: "t".into(),
+        def: ViewDef::base(),
+    }
+    .encode();
+    let mut binary = valid[..valid.len() - 4 - base_only.len()].to_vec();
+    esm_store::codec::put_str(&mut binary, stages);
+    let err = Request::decode(&binary).expect_err("binary form refused");
+    assert!(err.0.contains("bad view stage `eager`"), "{err}");
+}

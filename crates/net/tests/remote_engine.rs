@@ -3,14 +3,12 @@
 //! in-process engines ([`esm_engine::testkit`], driven by
 //! `crates/engine/tests/view_maintenance.rs`) runs here, unmodified,
 //! against a [`RemoteEngine`] speaking to a [`NetServer`] over a real
-//! loopback socket — fronting both an unsharded and a sharded host —
+//! loopback socket — fronting both a one-shard and a four-shard host —
 //! plus a 64-connection concurrency run racing optimistic editors
 //! against a single-threaded oracle.
 
 use esm_engine::testkit::{self, check_view_maintenance, seed_db, KEYS};
-use esm_engine::{
-    ArcEngine, Engine, EngineError, EngineServer, Session, ShardRouter, ShardedEngineServer,
-};
+use esm_engine::{ArcEngine, Engine, EngineError, Session, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine};
 use esm_relational::ViewDef;
 use esm_store::{row, Operand, Predicate, Schema, Table, ValueType};
@@ -37,7 +35,7 @@ fn script() -> Vec<(u8, i64, i64)> {
 
 #[test]
 fn remote_engine_satisfies_the_view_maintenance_law_unsharded() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);
     // The exact same suite body the in-process engines run.
     check_view_maintenance(&remote, &script());
@@ -65,7 +63,7 @@ fn remote_engine_satisfies_the_view_maintenance_law_sharded() {
 
 #[test]
 fn sixty_four_connections_race_the_oracle_on_one_engine() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     // 64 independent client connections, multiplexed by the server onto
     // one engine; each runs concurrent optimistic edits. The oracle
     // (single-threaded re-execution of the successful commuting ops)
@@ -98,7 +96,7 @@ fn sixty_four_connections_race_the_oracle_on_a_sharded_engine() {
 
 #[test]
 fn the_full_surface_works_end_to_end() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);
     remote.ping().unwrap();
     testkit::check_surface_smoke(&remote);
@@ -109,7 +107,7 @@ fn the_full_surface_works_end_to_end() {
 
 #[test]
 fn sessions_and_views_are_host_location_oblivious() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
 
     // A Session over a RemoteEngine — the same client code that runs
     // in-process.
@@ -148,7 +146,7 @@ fn sessions_and_views_are_host_location_oblivious() {
 
 #[test]
 fn structured_errors_cross_the_wire() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);
 
     assert!(matches!(
@@ -181,7 +179,7 @@ fn structured_errors_cross_the_wire() {
 
 #[test]
 fn a_dropped_connection_does_not_disturb_the_others() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let keeper = connect(addr);
     keeper.define_view("all", "t", &ViewDef::base()).unwrap();
     {
@@ -205,7 +203,7 @@ fn a_dropped_connection_does_not_disturb_the_others() {
 
 #[test]
 fn remote_transactions_validate_against_pre_images() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let a = connect(addr);
     let b = connect(addr);
 
@@ -241,7 +239,7 @@ fn pipelined_requests_answer_in_order() {
     use esm_net::{decode_frame, encode_frame, Request, Response};
     use std::io::{Read, Write};
 
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     // Fire several requests without waiting for any response — they
     // must come back in request order on this connection.
@@ -281,7 +279,7 @@ fn malformed_commit_rows_error_without_killing_the_server() {
     use esm_net::{Request, Response};
     use esm_store::Delta;
 
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);
 
     // A delta whose rows are shorter than the schema (and one with the
@@ -329,7 +327,7 @@ fn malformed_commit_rows_error_without_killing_the_server() {
 
 #[test]
 fn getters_surface_transport_failure_as_errors_not_panics() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);
     remote.ping().expect("server alive before shutdown");
 

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use esm_engine::{
-    DurabilityConfig, Engine, EngineError, EngineServer, ReplicaConfig, ReplicaEngine, ShardRouter,
+    DurabilityConfig, Engine, EngineError, ReplicaConfig, ReplicaEngine, ShardRouter,
     ShardedEngineServer,
 };
 use esm_net::{redirect_addr, NetServer, NetServerConfig, RemoteEngine};
@@ -137,7 +137,7 @@ fn replica_feeds_over_the_wire_and_redirects_writes_to_the_primary() {
 #[test]
 fn repl_manifest_refuses_on_a_memory_only_engine() {
     let server = NetServer::bind(
-        EngineServer::new(seed()).as_engine(),
+        ShardedEngineServer::new(seed(), 1).unwrap().as_engine(),
         "127.0.0.1:0",
         NetServerConfig::default(),
     )

@@ -9,14 +9,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use esm_engine::testkit::seed_db;
-use esm_engine::{Engine, EngineError, EngineServer};
+use esm_engine::{Engine, EngineError, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, PushEvent, RemoteEngine, SubscriptionClient};
 use esm_relational::ViewDef;
 use esm_store::Table;
 
 fn serve(config: NetServerConfig) -> (NetServer, SocketAddr) {
     let server = NetServer::bind(
-        EngineServer::new(seed_db()).as_engine(),
+        ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine(),
         "127.0.0.1:0",
         config,
     )

@@ -5,7 +5,7 @@
 //! in the wire-fetched copy (the engine registry never records them).
 
 use esm_engine::testkit::seed_db;
-use esm_engine::{ArcEngine, Engine, EngineServer, ShardRouter, ShardedEngineServer};
+use esm_engine::{ArcEngine, Engine, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine, Request, Response};
 use esm_obs::{Phase, SlowOp, Telemetry, TelemetrySnapshot};
 use esm_store::{row, Database};
@@ -128,7 +128,7 @@ fn check_loopback_stats(host: ArcEngine) {
 
 #[test]
 fn loopback_stats_match_direct_telemetry_unsharded() {
-    check_loopback_stats(EngineServer::new(seed_db()).as_engine());
+    check_loopback_stats(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn loopback_stats_match_direct_telemetry_sharded() {
 
 #[test]
 fn the_server_counts_bytes_both_ways() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = RemoteEngine::connect(addr).expect("loopback connect");
     remote.ping().expect("pong");
     let _ = remote.table("t").expect("exists");

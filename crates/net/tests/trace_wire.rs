@@ -8,9 +8,7 @@
 use std::path::PathBuf;
 
 use esm_engine::testkit::seed_db;
-use esm_engine::{
-    ArcEngine, DurabilityConfig, Engine, EngineServer, Session, ShardRouter, ShardedEngineServer,
-};
+use esm_engine::{ArcEngine, DurabilityConfig, Engine, Session, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine, Request, Response};
 use esm_obs::{TelemetryConfig, TraceRecord};
 use esm_store::row;
@@ -152,7 +150,7 @@ fn cross_shard_commit_traces_causally_over_loopback() {
 
 #[test]
 fn untraced_requests_allocate_no_spans() {
-    let host = EngineServer::new(seed_db()).as_engine();
+    let host = ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine();
     // Engine-side head sampling off: the only way a trace could exist
     // is a wire context, and none of the requests below carry one.
     host.telemetry_handle()
@@ -197,7 +195,7 @@ fn untraced_requests_allocate_no_spans() {
 
 #[test]
 fn server_ping_answers_without_the_engine() {
-    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = RemoteEngine::connect(addr).expect("loopback connect");
     let (uptime_ms, protocol_rev, workers) = remote.server_ping().expect("pong");
     assert_eq!(protocol_rev, esm_net::PROTOCOL_REV);

@@ -14,7 +14,9 @@
 //!
 //! Design notes:
 //! - Tables are **sets** of rows ordered by key (BTreeMap keyed on the key
-//!   columns), so iteration is deterministic and diffing is cheap.
+//!   columns), so iteration is deterministic and two tables diff in one
+//!   ordered merge: [`Delta::between`] is O(n) in the rows of both sides,
+//!   however small the difference.
 //! - Every mutation validates arity, column types and key uniqueness,
 //!   returning [`StoreError`] rather than corrupting the table.
 

@@ -15,8 +15,8 @@ use crate::value::Value;
 ///
 /// Rows are stored in a `BTreeMap` keyed by the key-column values (the
 /// whole row when the schema has no declared key), giving set semantics,
-/// deterministic iteration order, O(log n) point operations and cheap
-/// ordered diffs.
+/// deterministic iteration order, O(log n) point operations and ordered
+/// diffs in one O(n) merge. Cloning a table copies every row and index.
 ///
 /// A table may additionally carry secondary [`ColumnIndex`]es (see
 /// [`Table::create_index`]); they are maintained by every mutation and

@@ -6,7 +6,7 @@
 
 use std::thread;
 
-use esm::engine::EngineServer;
+use esm::engine::ShardedEngineServer;
 use esm::relational::ViewDef;
 use esm::store::{row, Database, Operand, Predicate, Schema, Table, Value, ValueType};
 
@@ -34,8 +34,8 @@ fn main() {
     let mut db = Database::new();
     db.create_table("accounts", accounts).expect("fresh table");
 
-    // The engine: lock-striped, shared by handle-clone, WAL-backed.
-    let engine = EngineServer::new(db);
+    // The engine: one shard, shared by handle-clone, WAL-backed.
+    let engine = ShardedEngineServer::new(db, 1).expect("one-shard engine");
 
     // Entangled views: three regional selections plus a directory
     // projection that hides balances. Select predicates auto-index the
@@ -110,7 +110,7 @@ fn main() {
     println!("after directory rename: {ada:?} (balance survived)");
 
     // Recovery: replay the WAL over the baseline and compare to live.
-    let wal = engine.wal();
+    let wal = &engine.shard_wals()[0];
     println!("wal holds {} committed deltas", wal.len());
     let recovered = engine.recovered_database().expect("replays");
     assert_eq!(recovered, engine.snapshot());

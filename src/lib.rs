@@ -27,8 +27,9 @@
 //!   join views as bx).
 //! - [`engine`] — the concurrent, transactional bidirectional database
 //!   engine: snapshot-isolated transactions with first-committer-wins, a
-//!   write-ahead log with replay/recovery, and a lock-striped server where
-//!   many clients hold entangled views over shared base tables — all
+//!   write-ahead log with replay/recovery, and key-range shards (one by
+//!   default) where many clients hold entangled views over shared base
+//!   tables — all
 //!   behind one [`engine::Engine`] trait with per-client
 //!   [`engine::Session`]s.
 //! - [`net`] — the network front end: a CRC-framed wire protocol for the
@@ -64,7 +65,7 @@
 //! transaction lifecycle, WAL format, index maintenance):
 //!
 //! ```
-//! use esm::engine::EngineServer;
+//! use esm::engine::ShardedEngineServer;
 //! use esm::relational::ViewDef;
 //! use esm::store::{row, Database, Operand, Predicate, Schema, Table, ValueType};
 //!
@@ -77,7 +78,8 @@
 //!     Table::from_rows(schema, vec![row![1, "research"], row![2, "ops"]]).unwrap(),
 //! ).unwrap();
 //!
-//! let engine = EngineServer::new(db); // Clone the handle into any thread.
+//! // One shard; clone the handle into any thread.
+//! let engine = ShardedEngineServer::new(db, 1).unwrap();
 //! let research = engine.define_view(
 //!     "research", "staff",
 //!     &ViewDef::base().select(Predicate::eq(Operand::col("dept"), Operand::val("research"))),
