@@ -52,7 +52,8 @@ const GATE_MIN_SCALING: f64 = 0.8;
 /// throughput — the line that caught the 256-client collapse.
 const GATE_MIN_COMMIT_RETENTION: f64 = 0.5;
 /// A single socket client's read p50 must stay under 100µs — the line
-/// that caught the poller's idle-sleep tax (p50 ~390µs pre-epoll).
+/// that caught the poller's idle-sleep tax (p50 ~390µs pre-epoll). The
+/// gate reads the exact sample median, not a histogram bucket edge.
 const GATE_MAX_READ_P50_NS: u64 = 100_000;
 /// At 64 subscribers, push must deliver at least twice the aggregate
 /// update rate of 64 clients polling the same view.
@@ -93,34 +94,47 @@ fn engine_with_views() -> ArcEngine {
 
 /// Run `clients` worker threads, each holding its own engine handle
 /// (an in-process clone or its own socket connection), and return
-/// aggregate ops/second plus the per-op latency distribution (every
-/// thread records into one lock-free histogram).
+/// aggregate ops/second, the per-op latency distribution (every thread
+/// records into one lock-free histogram) and the exact median latency
+/// in nanoseconds — a histogram quantile is a bucket's upper edge,
+/// too coarse for a gate near a bucket boundary.
 fn run_clients(
     handles: Vec<ArcEngine>,
     ops_per_client: usize,
     op: impl Fn(&dyn Engine, usize, usize) + Sync,
-) -> (f64, HistogramSnapshot) {
+) -> (f64, HistogramSnapshot, u64) {
     let op = &op;
     let latencies = Histogram::new();
     let latencies_ref = &latencies;
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for (client, handle) in handles.iter().enumerate() {
-            scope.spawn(move || {
-                for i in 0..ops_per_client {
-                    let op_start = Instant::now();
-                    op(&**handle, client, i);
-                    latencies_ref
-                        .record(u64::try_from(op_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                }
-            });
-        }
+    let mut samples: Vec<u64> = std::thread::scope(|scope| {
+        let threads: Vec<_> = handles
+            .iter()
+            .enumerate()
+            .map(|(client, handle)| {
+                scope.spawn(move || {
+                    let mut samples = Vec::with_capacity(ops_per_client);
+                    for i in 0..ops_per_client {
+                        let op_start = Instant::now();
+                        op(&**handle, client, i);
+                        let ns = u64::try_from(op_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        latencies_ref.record(ns);
+                        samples.push(ns);
+                    }
+                    samples
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("client thread"))
+            .collect()
     });
     let total = handles.len() * ops_per_client;
-    (
-        total as f64 / start.elapsed().as_secs_f64(),
-        latencies.snapshot(),
-    )
+    let rate = total as f64 / start.elapsed().as_secs_f64();
+    samples.sort_unstable();
+    let median = samples.get(samples.len() / 2).copied().unwrap_or(0);
+    (rate, latencies.snapshot(), median)
 }
 
 fn read_op(engine: &dyn Engine, client: usize, _i: usize) {
@@ -295,7 +309,7 @@ fn main() {
     println!("view-read throughput (ops/s):");
     for &clients in &[1usize, 16, 256] {
         let ops = (4096 / clients).max(16);
-        let (in_ops, in_lat) = run_clients(inproc_handles(&inproc, clients), ops, read_op);
+        let (in_ops, in_lat, _) = run_clients(inproc_handles(&inproc, clients), ops, read_op);
         record(
             &mut results,
             format!("net/read/in_process/{clients}"),
@@ -303,7 +317,7 @@ fn main() {
             &in_lat,
             format!("in-process read x{clients}: {in_ops:.0} ops/s"),
         );
-        let (so_ops, so_lat) = run_clients(socket_handles(addr, clients), ops, read_op);
+        let (so_ops, so_lat, so_median) = run_clients(socket_handles(addr, clients), ops, read_op);
         record(
             &mut results,
             format!("net/read/socket/{clients}"),
@@ -313,7 +327,7 @@ fn main() {
         );
         socket_reads.push((clients, so_ops));
         if clients == 1 {
-            single_read_p50_ns = so_lat.p50();
+            single_read_p50_ns = so_median;
         }
     }
 
@@ -321,7 +335,7 @@ fn main() {
     println!("commit (delta-direct transact) throughput (ops/s):");
     for &clients in &[1usize, 16, 256] {
         let ops = (1024 / clients).max(4);
-        let (in_ops, in_lat) = run_clients(inproc_handles(&inproc, clients), ops, commit_op);
+        let (in_ops, in_lat, _) = run_clients(inproc_handles(&inproc, clients), ops, commit_op);
         record(
             &mut results,
             format!("net/commit/in_process/{clients}"),
@@ -329,7 +343,7 @@ fn main() {
             &in_lat,
             format!("in-process commit x{clients}: {in_ops:.0} ops/s"),
         );
-        let (so_ops, so_lat) = run_clients(socket_handles(addr, clients), ops, commit_op);
+        let (so_ops, so_lat, _) = run_clients(socket_handles(addr, clients), ops, commit_op);
         record(
             &mut results,
             format!("net/commit/socket/{clients}"),

@@ -21,7 +21,7 @@
 //! ## Recovery state machine ([`DurableWal::open`])
 //!
 //! 1. **Checkpoint scan** — pick the newest checkpoint that decodes and
-//!    carries its `!end` trailer; torn ones (crash mid-checkpoint) are
+//!    passes its CRC trailer; torn ones (crash mid-checkpoint) are
 //!    skipped in favour of an older valid one.
 //! 2. **Segment scan** — read every `wal-*.seg` in name order and decode
 //!    the longest complete-record prefix of each
@@ -1485,7 +1485,7 @@ mod tests {
         let seg_path = dir.join(segment_file_name(1));
         let mut bytes = std::fs::read(&seg_path).unwrap();
         let torn = crate::segment::encode_framed(&rec(4));
-        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&seg_path, &bytes).unwrap();
 
         let (_wal2, db, report) = DurableWal::open(cfg.clone()).unwrap();
@@ -1496,6 +1496,39 @@ mod tests {
         let (_wal3, _db, report2) = DurableWal::open(cfg).unwrap();
         assert_eq!(report2.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn legacy_text_segments_are_refused_not_truncated() {
+        // A record in the pre-binary text framing, as a whole segment of
+        // its own and appended after the binary frames of the active
+        // segment: both are foreign bytes at a frame boundary, so
+        // recovery fails with `WalCorrupt` and leaves every byte alone.
+        let text = b"=24 9a3b1c7e\n#4 t +1 -0\n+ i:4\ts:x\n";
+        for own_segment in [true, false] {
+            let dir = tmp_dir(if own_segment { "text-seg" } else { "text-tail" });
+            let cfg = DurabilityConfig::new(&dir);
+            let mut wal = DurableWal::create(cfg.clone(), &baseline()).unwrap();
+            for seq in 1..=3 {
+                wal.append(&rec(seq)).unwrap();
+            }
+            wal.sync().unwrap();
+            drop(wal);
+            let path = if own_segment {
+                dir.join(segment_file_name(4))
+            } else {
+                dir.join(segment_file_name(1))
+            };
+            let mut bytes = std::fs::read(&path).unwrap_or_default();
+            bytes.extend_from_slice(text);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                DurableWal::open(cfg.clone()),
+                Err(EngineError::WalCorrupt(_))
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "bytes untouched");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

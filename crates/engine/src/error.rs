@@ -62,6 +62,10 @@ pub enum EngineError {
         /// The advertised address of the engine currently taking writes.
         primary: String,
     },
+    /// A network peer sent a payload this build's wire protocol does not
+    /// speak (the text protocol of revisions 1–4, or no protocol at all).
+    /// The message names the offending first byte and the expected one.
+    UnsupportedProtocol(String),
 }
 
 impl From<StoreError> for EngineError {
@@ -106,6 +110,7 @@ impl std::fmt::Display for EngineError {
                 )
             }
             EngineError::ShardTopology(msg) => write!(f, "shard topology error: {msg}"),
+            EngineError::UnsupportedProtocol(msg) => write!(f, "{msg}"),
             EngineError::NotPrimary { primary } => {
                 if primary.is_empty() {
                     write!(f, "not the primary: this replica takes no writes")

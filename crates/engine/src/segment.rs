@@ -1,28 +1,17 @@
 //! WAL segment files: append-only chunks of the durable log.
 //!
 //! A segment is a file named `wal-<first_seq, zero-padded>.seg` holding
-//! consecutive [`WalRecord`]s, each wrapped in a CRC frame. Two frame
-//! formats coexist, dispatched per frame on the first byte:
+//! consecutive [`WalRecord`]s, each wrapped in a CRC frame:
 //!
-//! * **Binary** (what new segments are written in) — first byte is the
-//!   magic `0xB5`, which no text frame can start with:
+//! ```text
+//! [0xB5][payload len: u32 LE][crc32 of payload: u32 LE][payload]
+//! ```
 //!
-//!   ```text
-//!   [0xB5][payload len: u32 LE][crc32 of payload: u32 LE][payload]
-//!   ```
-//!
-//!   The payload is one record in the binary WAL codec: a tag byte
-//!   (`0` delta, `1` chained delta, `2` prepare, `3` resolve), the
-//!   `seq` as a `u64` LE, then the variant's fields (strings length-
-//!   prefixed, rows in the `esm-store` binary row codec).
-//!
-//! * **Text** (legacy, still fully decodable for recovery of segments
-//!   written before the binary codec) — first byte is `=`:
-//!
-//!   ```text
-//!   =<payload bytes> <crc32 of payload, 8 hex digits>\n
-//!   <record in the WAL text format (see crate::wal)>
-//!   ```
+//! The payload is one record: a tag byte (`0` delta, `1` chained delta,
+//! `2` prepare, `3` resolve), the `seq` as a `u64` LE, then the variant's
+//! fields — the table name and the delta in the [`esm_store::codec`]
+//! encoding, or the gtx id plus the prepare's record count / the
+//! resolve's verdict byte.
 //!
 //! The durable log is the concatenation of all segments in name order;
 //! rotation starts a fresh file once the current one passes the size
@@ -39,11 +28,12 @@
 //!   the complete-record prefix with `torn = true` and recovery truncates
 //!   the tail. Crashes only ever shorten the stream, so a torn tail is
 //!   always the *last* thing in a segment.
-//! * **Corruption** (bit rot, a lying disk): a frame is *complete* but
-//!   its payload no longer matches its CRC32 — or the frame header
-//!   itself is garbled mid-stream. That is not a crash artifact; silently
-//!   truncating would discard committed records. The decode reports it in
-//!   `corrupt` and recovery refuses the directory
+//! * **Corruption** (bit rot, a lying disk, a file this codec never
+//!   wrote): a frame is *complete* but its payload no longer matches its
+//!   CRC32, or a byte other than `0xB5` sits where a frame must start.
+//!   That is not a crash artifact; silently truncating would discard
+//!   committed records. The decode reports it in `corrupt` and recovery
+//!   refuses the directory
 //!   ([`crate::plan_recovery`] surfaces
 //!   [`EngineError::WalCorrupt`](crate::EngineError::WalCorrupt)).
 //!
@@ -63,10 +53,10 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use esm_obs::{Phase, Span, Telemetry};
-use esm_store::{codec, Delta};
+use esm_store::codec;
 
 use crate::error::EngineError;
-use crate::wal::{decode_header, decode_row_line, HeaderLine, WalOp, WalRecord};
+use crate::wal::{WalOp, WalRecord};
 
 /// Filename extension of WAL segment files.
 pub const SEGMENT_SUFFIX: &str = ".seg";
@@ -120,22 +110,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Encode one record with its *text* segment frame (`=<len> <crc>\n` +
-/// record text) — the legacy format, exposed so tests and tools can
-/// hand-build old-style segment files and prove recovery still reads
-/// them. New segments are written with [`encode_framed_binary`].
-pub fn encode_framed(record: &WalRecord) -> String {
-    let text = record.encode();
-    format!("={} {:08x}\n{}", text.len(), crc32(text.as_bytes()), text)
-}
-
-/// First byte of a binary segment frame. Text frames start with `=`
-/// (0x3D) and every text payload is ASCII, so the magic unambiguously
-/// selects the decoder per frame — segments may mix formats freely.
+/// First byte of every segment frame. Recovery reads any other byte at
+/// a frame boundary as corruption: a crash only ever shortens a segment,
+/// so it cannot leave a foreign byte where a frame must start.
 pub const BINARY_FRAME_MAGIC: u8 = 0xB5;
 
-/// Bytes in a binary frame header: magic, payload len (u32 LE), crc32
-/// (u32 LE).
+/// Bytes in a frame header: magic, payload len (u32 LE), crc32 (u32 LE).
 const BINARY_HEADER_BYTES: usize = 9;
 
 const REC_DELTA: u8 = 0;
@@ -143,9 +123,9 @@ const REC_CHAINED: u8 = 1;
 const REC_PREPARE: u8 = 2;
 const REC_RESOLVE: u8 = 3;
 
-/// Encode one record's binary payload (tag, seq, fields) — the bytes a
-/// binary frame's CRC covers.
-pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
+/// Encode one record's payload (tag, seq, fields) — the bytes a frame's
+/// CRC covers.
+pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match &record.op {
         WalOp::Delta {
@@ -156,14 +136,7 @@ pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
             out.push(if *chained { REC_CHAINED } else { REC_DELTA });
             codec::put_u64(&mut out, record.seq);
             codec::put_str(&mut out, table);
-            codec::put_u32(&mut out, delta.inserted.len() as u32);
-            codec::put_u32(&mut out, delta.deleted.len() as u32);
-            for row in &delta.inserted {
-                codec::put_row(&mut out, row);
-            }
-            for row in &delta.deleted {
-                codec::put_row(&mut out, row);
-            }
+            codec::put_delta(&mut out, delta);
         }
         WalOp::Prepare { gtx, records } => {
             out.push(REC_PREPARE);
@@ -181,24 +154,16 @@ pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
     out
 }
 
-/// Decode one binary record payload produced by [`encode_record_binary`].
-pub fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, EngineError> {
-    let mut r = codec::BinReader::new(payload);
+/// Decode one record payload produced by [`encode_record`].
+pub fn decode_record(payload: &[u8]) -> Result<WalRecord, EngineError> {
     let rot = |e: esm_store::StoreError| EngineError::WalCorrupt(e.to_string());
+    let mut r = codec::BinReader::new(payload);
     let tag = r.u8().map_err(rot)?;
     let seq = r.u64().map_err(rot)?;
     let record = match tag {
         REC_DELTA | REC_CHAINED => {
             let table = r.str().map_err(rot)?;
-            let ins = r.u32().map_err(rot)? as usize;
-            let del = r.u32().map_err(rot)? as usize;
-            let mut delta = Delta::empty();
-            for _ in 0..ins {
-                delta.inserted.push(r.row().map_err(rot)?);
-            }
-            for _ in 0..del {
-                delta.deleted.push(r.row().map_err(rot)?);
-            }
+            let delta = r.delta().map_err(rot)?;
             if tag == REC_CHAINED {
                 WalRecord::chained(seq, table, delta)
             } else {
@@ -207,36 +172,22 @@ pub fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, EngineError> {
         }
         REC_PREPARE => {
             let gtx = r.str().map_err(rot)?;
-            let records = r.u64().map_err(rot)?;
-            WalRecord::prepare(seq, gtx, records)
+            WalRecord::prepare(seq, gtx, r.u64().map_err(rot)?)
         }
         REC_RESOLVE => {
             let gtx = r.str().map_err(rot)?;
-            let committed = match r.u8().map_err(rot)? {
-                0 => false,
-                1 => true,
-                b => {
-                    return Err(EngineError::WalCorrupt(format!(
-                        "bad resolve verdict byte {b}"
-                    )))
-                }
-            };
-            WalRecord::resolve(seq, gtx, committed)
+            WalRecord::resolve(seq, gtx, r.flag().map_err(rot)?)
         }
-        tag => {
-            return Err(EngineError::WalCorrupt(format!(
-                "unknown binary record tag {tag}"
-            )))
-        }
+        tag => return Err(EngineError::WalCorrupt(format!("unknown record tag {tag}"))),
     };
     r.end().map_err(rot)?;
     Ok(record)
 }
 
-/// Encode one record with its binary segment frame — exactly the bytes
+/// Encode one record with its segment frame — exactly the bytes
 /// [`SegmentWriter::append`] writes.
-pub fn encode_framed_binary(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_record_binary(record);
+pub fn encode_framed(record: &WalRecord) -> Vec<u8> {
+    let payload = encode_record(record);
     let mut out = Vec::with_capacity(BINARY_HEADER_BYTES + payload.len());
     out.push(BINARY_FRAME_MAGIC);
     codec::put_u32(&mut out, payload.len() as u32);
@@ -418,7 +369,7 @@ impl<F: SegmentFile> SegmentWriter<F> {
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, EngineError> {
         let span = Span::start();
         let mut tspan = esm_obs::trace::span("commit_wal_append");
-        let framed = encode_framed_binary(record);
+        let framed = encode_framed(record);
         self.file.append(&framed)?;
         self.bytes += framed.len() as u64;
         self.pending += 1;
@@ -485,15 +436,15 @@ pub struct SegmentPrefix {
 }
 
 /// Decode the longest prefix of complete, CRC-valid records from raw
-/// segment bytes. Each frame is dispatched on its first byte —
-/// [`BINARY_FRAME_MAGIC`] selects the binary decoder, `=` the legacy
-/// text decoder — so text and binary frames coexist in one segment.
+/// segment bytes.
 ///
-/// A record counts only when its frame header is complete, all its
-/// promised payload bytes are present, the payload matches its CRC32 and
-/// parses as exactly one record. An *incomplete* trailing frame is
-/// reported as `torn` (what a crash leaves behind); a *complete but
-/// invalid* frame is reported as `corrupt` (what bit rot leaves behind).
+/// A record counts only when its frame starts with
+/// [`BINARY_FRAME_MAGIC`], its header is complete, all its promised
+/// payload bytes are present, the payload matches its CRC32 and parses
+/// as exactly one record. An *incomplete* trailing frame is reported as
+/// `torn` (what a crash leaves behind); a *complete but invalid* frame,
+/// or any other byte where a frame must start, is reported as `corrupt`
+/// (what bit rot, or a file this codec never wrote, leaves behind).
 pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     let mut records = Vec::new();
     let mut ends = Vec::new();
@@ -501,52 +452,33 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     let mut corrupt = None;
     while consumed < bytes.len() {
         let rest = &bytes[consumed..];
-        // Binary frame: magic, u32 len, u32 crc, payload.
-        let (payload_start, len, crc) = if rest[0] == BINARY_FRAME_MAGIC {
-            if rest.len() < BINARY_HEADER_BYTES {
-                break; // incomplete frame header: torn
-            }
-            let len = u32::from_le_bytes(rest[1..5].try_into().expect("4")) as usize;
-            let crc = u32::from_le_bytes(rest[5..9].try_into().expect("4"));
-            (consumed + BINARY_HEADER_BYTES, len, crc)
-        } else {
-            // Text frame header: `=<len> <crc>\n`, pure ASCII.
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-                break; // incomplete frame header: torn
-            };
-            let header = &rest[..nl];
-            let Some((len, crc)) = parse_frame_header(header) else {
-                // A complete-but-garbled frame header cannot come from a
-                // crash (truncation only shortens); it is rot.
-                corrupt = Some(format!(
-                    "garbled frame header at byte {consumed}: {:?}",
-                    String::from_utf8_lossy(header)
-                ));
-                break;
-            };
-            (consumed + nl + 1, len, crc)
-        };
-        if bytes.len() - payload_start < len {
-            break; // incomplete payload: torn
-        }
-        let binary = bytes[consumed] == BINARY_FRAME_MAGIC;
-        let payload = &bytes[payload_start..payload_start + len];
-        let actual = crc32(payload);
-        if actual != crc {
+        if rest[0] != BINARY_FRAME_MAGIC {
             corrupt = Some(format!(
-                "crc mismatch at byte {payload_start}: frame says {crc:08x}, payload is {actual:08x}"
+                "byte {consumed} is {:#04x}, not a frame start ({BINARY_FRAME_MAGIC:#04x})",
+                rest[0]
             ));
             break;
         }
-        let parsed = if binary {
-            decode_record_binary(payload)
-        } else {
-            parse_record_payload(payload)
+        if rest.len() < BINARY_HEADER_BYTES {
+            break; // incomplete frame header: torn
+        }
+        let len = u32::from_le_bytes(rest[1..5].try_into().expect("4")) as usize;
+        let crc = u32::from_le_bytes(rest[5..9].try_into().expect("4"));
+        let Some(payload) = rest[BINARY_HEADER_BYTES..].get(..len) else {
+            break; // incomplete payload: torn
         };
-        match parsed {
+        let actual = crc32(payload);
+        if actual != crc {
+            corrupt = Some(format!(
+                "crc mismatch at byte {}: frame says {crc:08x}, payload is {actual:08x}",
+                consumed + BINARY_HEADER_BYTES
+            ));
+            break;
+        }
+        match decode_record(payload) {
             Ok(record) => {
                 records.push(record);
-                consumed = payload_start + len;
+                consumed += BINARY_HEADER_BYTES + len;
                 ends.push(consumed);
             }
             Err(e) => {
@@ -567,74 +499,10 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     }
 }
 
-/// Parse `=<len> <crc-8-hex>` (without the newline).
-fn parse_frame_header(header: &[u8]) -> Option<(usize, u32)> {
-    let header = std::str::from_utf8(header).ok()?;
-    let rest = header.strip_prefix('=')?;
-    let (len, crc) = rest.split_once(' ')?;
-    if crc.len() != 8 {
-        return None;
-    }
-    Some((len.parse().ok()?, u32::from_str_radix(crc, 16).ok()?))
-}
-
-/// Parse a frame payload as exactly one WAL record (header line plus its
-/// promised row lines, nothing more).
-fn parse_record_payload(payload: &[u8]) -> Result<WalRecord, EngineError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| EngineError::WalCorrupt(format!("invalid UTF-8 payload: {e}")))?;
-    let mut cur = 0usize;
-    let header = take_line(text, &mut cur)
-        .ok_or_else(|| EngineError::WalCorrupt("payload missing header line".into()))?;
-    let record = match decode_header(header)? {
-        HeaderLine::Delta {
-            seq,
-            table,
-            inserted,
-            deleted,
-            chained,
-        } => {
-            let mut delta = Delta::empty();
-            for sign in std::iter::repeat_n('+', inserted).chain(std::iter::repeat_n('-', deleted))
-            {
-                let row = decode_row_line(take_line(text, &mut cur), sign)?;
-                if sign == '+' {
-                    delta.inserted.push(row);
-                } else {
-                    delta.deleted.push(row);
-                }
-            }
-            if chained {
-                WalRecord::chained(seq, table, delta)
-            } else {
-                WalRecord::delta(seq, table, delta)
-            }
-        }
-        HeaderLine::Marker(rec) => rec,
-    };
-    if cur != text.len() {
-        return Err(EngineError::WalCorrupt(format!(
-            "{} trailing bytes after the framed record",
-            text.len() - cur
-        )));
-    }
-    Ok(record)
-}
-
-/// The next `\n`-terminated line at `*cur`, advancing past it; `None`
-/// when no complete line remains.
-fn take_line<'a>(text: &'a str, cur: &mut usize) -> Option<&'a str> {
-    let rest = &text[*cur..];
-    let end = rest.find('\n')?;
-    let line = &rest[..end];
-    *cur += end + 1;
-    Some(line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esm_store::row;
+    use esm_store::{row, Delta};
 
     fn rec(seq: u64, n: i64) -> WalRecord {
         WalRecord::delta(
@@ -674,11 +542,27 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// One of every record kind, with codec-hostile names and cells.
+    fn all_kinds() -> Vec<WalRecord> {
+        vec![
+            rec(1, 1),
+            rec(2, 2),
+            WalRecord::chained(3, "tab\tle λ", rec(1, 1).delta_op().unwrap().1.clone()),
+            WalRecord::delta(4, "t", Delta::empty()),
+            WalRecord::prepare(5, "g\n1", 2),
+            WalRecord::resolve(6, "g\n1", true),
+            WalRecord::resolve(7, "g2", false),
+        ]
+    }
+
+    fn framed(records: &[WalRecord]) -> Vec<u8> {
+        records.iter().flat_map(encode_framed).collect()
+    }
+
     #[test]
     fn prefix_decode_at_every_byte_is_a_clean_record_prefix() {
-        let records: Vec<WalRecord> = (1..=5).map(|i| rec(i, i as i64)).collect();
-        let full: String = records.iter().map(encode_framed).collect();
-        let bytes = full.as_bytes();
+        let records = all_kinds();
+        let bytes = framed(&records);
         for cut in 0..=bytes.len() {
             let prefix = decode_segment_prefix(&bytes[..cut]);
             // Truncation is a crash artifact: never classified as rot.
@@ -691,14 +575,17 @@ mod tests {
             );
             assert!(prefix.consumed <= cut);
             assert_eq!(prefix.torn, prefix.consumed < cut);
-            // consumed always sits on a frame boundary.
-            let reencoded: String = prefix.records.iter().map(encode_framed).collect();
-            assert_eq!(reencoded.len(), prefix.consumed);
-            assert_eq!(prefix.ends.last().copied().unwrap_or(0), prefix.consumed);
+            // consumed and every end sit on frame boundaries.
+            assert_eq!(framed(&prefix.records).len(), prefix.consumed);
+            let mut at = 0;
+            for (r, &end) in prefix.records.iter().zip(&prefix.ends) {
+                at += encode_framed(r).len();
+                assert_eq!(end, at, "cut at {cut}");
+            }
         }
         // The untruncated stream decodes completely.
-        let whole = decode_segment_prefix(bytes);
-        assert_eq!(whole.records.len(), 5);
+        let whole = decode_segment_prefix(&bytes);
+        assert_eq!(whole.records, records);
         assert!(!whole.torn);
     }
 
@@ -709,25 +596,18 @@ mod tests {
             WalRecord::prepare(2, "g1", 1),
             WalRecord::resolve(3, "g1", true),
         ];
-        let full: String = records.iter().map(encode_framed).collect();
-        let p = decode_segment_prefix(full.as_bytes());
+        let p = decode_segment_prefix(&framed(&records));
         assert_eq!(p.records, records);
         assert!(!p.torn && p.corrupt.is_none());
     }
 
     #[test]
     fn binary_frames_round_trip_all_record_kinds() {
-        let records = vec![
-            rec(1, 1),
-            rec(2, 2),
-            WalRecord::chained(3, "tab\tle", rec(1, 1).delta_op().unwrap().1.clone()),
-            WalRecord::delta(4, "t", Delta::empty()),
-            WalRecord::prepare(5, "g1", 2),
-            WalRecord::resolve(6, "g1", true),
-            WalRecord::resolve(7, "g2", false),
-        ];
-        let full: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
-        let p = decode_segment_prefix(&full);
+        let records = all_kinds();
+        for r in &records {
+            assert_eq!(&decode_record(&encode_record(r)).unwrap(), r);
+        }
+        let p = decode_segment_prefix(&framed(&records));
         assert_eq!(p.records, records);
         assert!(!p.torn && p.corrupt.is_none());
     }
@@ -735,7 +615,7 @@ mod tests {
     #[test]
     fn binary_prefix_decode_at_every_byte_is_a_clean_record_prefix() {
         let records: Vec<WalRecord> = (1..=5).map(|i| rec(i, i as i64)).collect();
-        let bytes: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
+        let bytes = framed(&records);
         for cut in 0..=bytes.len() {
             let prefix = decode_segment_prefix(&bytes[..cut]);
             assert_eq!(prefix.corrupt, None, "cut at {cut}");
@@ -746,36 +626,13 @@ mod tests {
             );
             assert!(prefix.consumed <= cut);
             assert_eq!(prefix.torn, prefix.consumed < cut);
-            let reencoded: Vec<u8> = prefix
-                .records
-                .iter()
-                .flat_map(encode_framed_binary)
-                .collect();
-            assert_eq!(reencoded.len(), prefix.consumed);
+            assert_eq!(framed(&prefix.records).len(), prefix.consumed);
         }
-    }
-
-    #[test]
-    fn mixed_text_and_binary_frames_decode_in_one_stream() {
-        let records: Vec<WalRecord> = (1..=6).map(|i| rec(i, i as i64)).collect();
-        let mut bytes = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            if i % 2 == 0 {
-                bytes.extend_from_slice(encode_framed(r).as_bytes());
-            } else {
-                bytes.extend_from_slice(&encode_framed_binary(r));
-            }
-        }
-        let p = decode_segment_prefix(&bytes);
-        assert_eq!(p.records, records);
-        assert!(!p.torn && p.corrupt.is_none());
     }
 
     #[test]
     fn binary_bit_rot_is_corruption_not_a_torn_tail() {
-        let clean: Vec<u8> = (1..=3)
-            .flat_map(|i| encode_framed_binary(&rec(i, i as i64)))
-            .collect();
+        let clean = framed(&(1..=3).map(|i| rec(i, i as i64)).collect::<Vec<_>>());
         // Flip a byte inside the first record's payload.
         let mut rotten = clean.clone();
         rotten[BINARY_HEADER_BYTES + 3] ^= 0x40;
@@ -784,7 +641,7 @@ mod tests {
         assert!(!p.torn);
         assert!(p.records.is_empty());
         // A CRC-valid payload with an unknown tag is corruption too.
-        let mut payload = encode_record_binary(&rec(1, 1));
+        let mut payload = encode_record(&rec(1, 1));
         payload[0] = 99;
         let mut framed = vec![BINARY_FRAME_MAGIC];
         codec::put_u32(&mut framed, payload.len() as u32);
@@ -796,25 +653,29 @@ mod tests {
 
     #[test]
     fn bit_rot_is_corruption_not_a_torn_tail() {
-        let full: String = (1..=3).map(|i| encode_framed(&rec(i, i as i64))).collect();
-        let clean = full.as_bytes().to_vec();
-        // Flip one byte inside the *first* record's payload.
-        let hdr_end = clean.iter().position(|&b| b == b'\n').unwrap();
-        let mut rotten = clean.clone();
-        rotten[hdr_end + 3] ^= 0x40;
-        let p = decode_segment_prefix(&rotten);
-        assert!(
-            p.corrupt.is_some(),
-            "a flipped byte must be detected: {p:?}"
-        );
-        assert!(!p.torn);
-        assert!(p.records.is_empty(), "rot cuts the decodable prefix short");
-        // Garbling the frame header is corruption too.
-        let mut garbled = clean;
-        garbled[0] = b'?';
-        let p = decode_segment_prefix(&garbled);
-        assert!(p.corrupt.is_some());
-        assert!(p.records.is_empty());
+        // Any byte other than the magic at a frame boundary is corrupt,
+        // never torn — at the start of a file, between frames, and as
+        // the last byte of a file (where a crash could only have left a
+        // proper prefix of a frame).
+        let clean = framed(&(1..=3).map(|i| rec(i, i as i64)).collect::<Vec<_>>());
+        let second = encode_framed(&rec(1, 1)).len();
+        for at in [0, second] {
+            for byte in [0x00, b'=', b'#', 0xB7, 0xFF] {
+                let mut garbled = clean.clone();
+                garbled[at] = byte;
+                let p = decode_segment_prefix(&garbled);
+                assert!(p.corrupt.is_some() && !p.torn, "{byte:#x} at {at}: {p:?}");
+                assert_eq!(p.consumed, at, "the prefix before it survives");
+            }
+            let mut tail = clean[..at].to_vec();
+            tail.push(b'=');
+            let p = decode_segment_prefix(&tail);
+            assert!(p.corrupt.is_some() && !p.torn, "stray tail byte: {p:?}");
+        }
+        // A record in the pre-binary text framing is a foreign file.
+        let text = b"=24 00000000\n#1 t +0 -0\n";
+        let p = decode_segment_prefix(text);
+        assert!(p.corrupt.is_some() && !p.torn && p.records.is_empty());
     }
 
     #[test]
@@ -826,8 +687,7 @@ mod tests {
                 inserted: vec![row![1, "λambda"]],
                 deleted: vec![],
             },
-        ))
-        .into_bytes();
+        ));
         let full = decode_segment_prefix(&bytes);
         assert_eq!(full.records.len(), 1);
         // Cut inside the 2-byte λ: the whole record is torn, not an error.
@@ -842,7 +702,7 @@ mod tests {
         let mut w = SegmentWriter::new(SimFile::new(), 1);
         let r = rec(1, 1);
         let n = w.append(&r).unwrap();
-        assert_eq!(n, encode_framed_binary(&r).len() as u64);
+        assert_eq!(n, encode_framed(&r).len() as u64);
         assert_eq!(w.bytes(), n);
         assert_eq!(w.pending(), 1);
         assert!(w.sync().unwrap());
@@ -877,7 +737,7 @@ mod tests {
         let mut w = SegmentWriter::new(file, 1);
         w.append(&rec(1, 1)).unwrap();
         w.append(&rec(2, 2)).unwrap();
-        let first_len = encode_framed_binary(&rec(1, 1)).len();
+        let first_len = encode_framed(&rec(1, 1)).len();
         disk.lock().unwrap().tear_next_sync_at = Some(first_len + 7);
         assert!(matches!(w.sync(), Err(EngineError::Io(_))));
         let durable = disk.lock().unwrap().durable_bytes();

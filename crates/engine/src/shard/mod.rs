@@ -62,9 +62,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_obs::{Phase, Span, Telemetry, TelemetrySnapshot};
 use esm_relational::ViewDef;
+use esm_store::codec::{self, BinReader};
 use esm_store::{Database, Delta, Row, Schema, Table, Value};
 
-use crate::checkpoint::write_atomic_text;
+use crate::checkpoint::{seal, unseal, write_atomic};
 use crate::durable::{checkpoint_off_lock, DurabilityConfig, MaintenanceThread, RecoveryReport};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad, ShardMetrics, WalStats};
@@ -919,25 +920,30 @@ impl ShardedEngineServer {
     /// shards are invisible to it by construction. Returns the total
     /// records dropped across shards.
     pub fn truncate_wals(&self) -> Result<u64, EngineError> {
-        // Hold the topology read lock across the whole pass so the
-        // run-to-shard alignment the floors are computed under cannot
-        // shift (rebalances queue behind it, like any transaction).
+        // Lock order is `read_view`'s: every view window first (in name
+        // order), then the topology read lock, then shard locks. Taking
+        // the topology first would let a `read_view` holding its window
+        // and waiting on the topology (behind a queued split/merge
+        // writer) deadlock against this pass. Holding the windows and
+        // the topology across the whole pass keeps the run-to-shard
+        // alignment the floors are computed under from shifting.
+        let views = self.inner.views.read().expect("views lock poisoned");
+        let windows: Vec<_> = views
+            .values()
+            .map(|reg| (reg, reg.mat.lock().expect("view windows lock poisoned")))
+            .collect();
         let topo = self.topology();
         let mut floors: Vec<u64> = vec![u64::MAX; topo.shards.len()];
-        {
-            let views = self.inner.views.read().expect("views lock poisoned");
-            for reg in views.values() {
-                let mat_slot = reg.mat.lock().expect("view windows lock poisoned");
-                let Some(mat) = mat_slot.as_ref() else {
-                    continue;
-                };
-                if mat.epoch != topo.epoch {
-                    continue; // stale: the next read rebuilds, needs no log
-                }
-                let run = self.view_shard_run(&topo, reg);
-                for (window, &shard_index) in mat.windows.iter().zip(run.iter()) {
-                    floors[shard_index] = floors[shard_index].min(window.applied_seq);
-                }
+        for (reg, mat_slot) in &windows {
+            let Some(mat) = mat_slot.as_ref() else {
+                continue;
+            };
+            if mat.epoch != topo.epoch {
+                continue; // stale: the next read rebuilds, needs no log
+            }
+            let run = self.view_shard_run(&topo, reg);
+            for (window, &shard_index) in mat.windows.iter().zip(run.iter()) {
+                floors[shard_index] = floors[shard_index].min(window.applied_seq);
             }
         }
         let mut dropped = 0;
@@ -1906,7 +1912,15 @@ fn parse_gtx(gtx: &str) -> u64 {
 // Topology manifest.
 // ---------------------------------------------------------------------
 
-/// Serialize and atomically write the topology manifest.
+/// First byte of the topology manifest.
+const TOPOLOGY_MAGIC: u8 = 0xB4;
+
+/// Serialize and atomically write the topology manifest, a sealed
+/// binary document ([`crate::checkpoint::seal`]):
+///
+/// ```text
+/// [0xB4][next_id: u64][u32 n, shard id: u64 * n][u32 n - 1, split row * (n - 1)][crc32]
+/// ```
 pub(crate) fn write_topology(
     dir: &Path,
     next_id: u64,
@@ -1914,84 +1928,56 @@ pub(crate) fn write_topology(
     ids: &[u64],
 ) -> Result<(), EngineError> {
     debug_assert_eq!(ids.len(), router.shard_count());
-    let mut text = format!("!topology\nnext_id {next_id}\n");
-    for (i, id) in ids.iter().enumerate() {
-        match router.splits().get(i) {
-            Some(split) => {
-                text.push_str(&format!(
-                    "shard {id} upto {}\n",
-                    esm_store::codec::encode_row(split)
-                ));
-            }
-            None => text.push_str(&format!("shard {id} rest\n")),
-        }
+    let mut doc = vec![TOPOLOGY_MAGIC];
+    codec::put_u64(&mut doc, next_id);
+    codec::put_u32(&mut doc, ids.len() as u32);
+    for id in ids {
+        codec::put_u64(&mut doc, *id);
     }
-    text.push_str("!end\n");
-    write_atomic_text(dir, TOPOLOGY_FILE, &text)?;
+    codec::put_u32(&mut doc, router.splits().len() as u32);
+    for split in router.splits() {
+        codec::put_row(&mut doc, split);
+    }
+    write_atomic(dir, TOPOLOGY_FILE, &seal(doc))?;
     Ok(())
 }
 
 /// Read the topology manifest back: `(next_id, router, shard ids)`.
 pub(crate) fn read_topology(dir: &Path) -> Result<(u64, ShardRouter, Vec<u64>), EngineError> {
-    let path = dir.join(TOPOLOGY_FILE);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
+    let bytes = std::fs::read(dir.join(TOPOLOGY_FILE)).map_err(|e| {
         EngineError::Io(format!(
             "{} is not a sharded engine directory: {e}",
             dir.display()
         ))
     })?;
-    let corrupt = |msg: &str| EngineError::WalCorrupt(format!("topology manifest: {msg}"));
-    let mut lines = text.lines();
-    if lines.next() != Some("!topology") {
-        return Err(corrupt("missing !topology header"));
-    }
-    let next_id: u64 = lines
-        .next()
-        .and_then(|l| l.strip_prefix("next_id "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| corrupt("bad next_id line"))?;
-    let mut ids = Vec::new();
-    let mut splits = Vec::new();
-    let mut saw_rest = false;
-    let mut saw_end = false;
-    for line in lines {
-        if line == "!end" {
-            saw_end = true;
-            break;
+    decode_topology(&bytes)
+        .map_err(|msg| EngineError::WalCorrupt(format!("topology manifest: {msg}")))
+}
+
+fn decode_topology(bytes: &[u8]) -> Result<(u64, ShardRouter, Vec<u64>), String> {
+    let mut r = BinReader::new(unseal(TOPOLOGY_MAGIC, bytes)?);
+    let body = (|| {
+        let next_id = r.u64()?;
+        let mut ids = Vec::new();
+        for _ in 0..r.count(8)? {
+            ids.push(r.u64()?);
         }
-        let rest = line
-            .strip_prefix("shard ")
-            .ok_or_else(|| corrupt("expected a shard line"))?;
-        let (id, bound) = rest
-            .split_once(' ')
-            .ok_or_else(|| corrupt("truncated shard line"))?;
-        let id: u64 = id.parse().map_err(|_| corrupt("bad shard id"))?;
-        if saw_rest {
-            return Err(corrupt("shard after the unbounded final range"));
+        let mut splits = Vec::new();
+        for _ in 0..r.count(4)? {
+            splits.push(r.row()?);
         }
-        if bound == "rest" {
-            saw_rest = true;
-        } else {
-            let split = bound
-                .strip_prefix("upto ")
-                .ok_or_else(|| corrupt("bad shard bound"))?;
-            splits.push(
-                esm_store::codec::decode_row(split)
-                    .map_err(|e| corrupt(&format!("bad split row: {e}")))?,
-            );
-        }
-        ids.push(id);
+        r.end()?;
+        Ok::<_, esm_store::StoreError>((next_id, ids, splits))
+    })();
+    let (next_id, ids, splits) = body.map_err(|e| e.to_string())?;
+    if ids.len() != splits.len() + 1 {
+        return Err(format!(
+            "{} shard ids for {} split points",
+            ids.len(),
+            splits.len()
+        ));
     }
-    if !saw_end {
-        return Err(corrupt("missing !end trailer (torn write?)"));
-    }
-    if !saw_rest || ids.is_empty() {
-        return Err(corrupt("no unbounded final range"));
-    }
-    let router = ShardRouter::from_splits(splits)?;
-    if router.shard_count() != ids.len() {
-        return Err(corrupt("split count does not match shard count"));
-    }
+    let router = ShardRouter::from_splits(splits).map_err(|e| e.to_string())?;
     Ok((next_id, router, ids))
 }
 
@@ -2289,16 +2275,43 @@ mod tests {
         assert_eq!(next_id, 7);
         assert_eq!(read_router, router);
         assert_eq!(ids, vec![0, 3, 2]);
-        // Torn manifests are rejected loudly.
-        std::fs::write(
-            dir.join(TOPOLOGY_FILE),
-            "!topology\nnext_id 1\nshard 0 rest\n",
-        )
-        .unwrap();
-        assert!(matches!(
-            read_topology(&dir),
-            Err(EngineError::WalCorrupt(msg)) if msg.contains("!end")
-        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_and_rotten_topology_manifests_are_refused() {
+        let dir = std::env::temp_dir().join(format!("esm-topology-rot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let router = ShardRouter::from_splits(vec![row![10], row!["m\tid"]]).unwrap();
+        write_topology(&dir, 7, &router, &[0, 3, 2]).unwrap();
+        // Torn (every proper prefix) and rotten (every flipped bit)
+        // manifests are rejected loudly, as is the pre-binary text form.
+        let bytes = std::fs::read(dir.join(TOPOLOGY_FILE)).unwrap();
+        let mut bad: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut rotten = bytes.clone();
+                rotten[at] ^= 1 << bit;
+                bad.push(rotten);
+            }
+        }
+        bad.push(b"!topology\nnext_id 1\nshard 0 rest\n!end\n".to_vec());
+        for bytes in bad {
+            std::fs::write(dir.join(TOPOLOGY_FILE), &bytes).unwrap();
+            assert!(
+                matches!(read_topology(&dir), Err(EngineError::WalCorrupt(_))),
+                "{bytes:?} must not read as a topology"
+            );
+        }
+        // A sealed manifest whose shard and split counts disagree.
+        let mut doc = vec![TOPOLOGY_MAGIC];
+        codec::put_u64(&mut doc, 1);
+        codec::put_u32(&mut doc, 2);
+        codec::put_u64(&mut doc, 0);
+        codec::put_u64(&mut doc, 1);
+        codec::put_u32(&mut doc, 0);
+        assert!(decode_topology(&seal(doc)).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

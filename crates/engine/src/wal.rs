@@ -27,40 +27,28 @@
 //!   the real outcome by scanning *all* shard logs — see
 //!   [`crate::shard`]).
 //!
-//! ## Text format
+//! ## Encoding
 //!
-//! [`Wal::encode`] renders a line-oriented text form:
-//!
-//! ```text
-//! #<seq> <table> +<inserted> -<deleted>      delta record header
-//! #<seq>* <table> +<inserted> -<deleted>     chained delta (more follow)
-//! + <cell>\t<cell>...                        inserted rows
-//! - <cell>\t<cell>...                        deleted rows
-//! #<seq> !prepare <records> <gtx>            2PC prepare marker
-//! #<seq> !resolve commit|abort <gtx>         2PC resolution marker
-//! ```
-//!
-//! Cells use the shared [`esm_store::codec`] (type tags `b:`/`i:`/`s:`,
-//! strings escape `\\`, tab, newline and carriage return), so decoding
-//! needs no schema. Table names starting with `!` are **reserved** for
-//! markers; the engine refuses to serve databases containing them (see
-//! [`reserved_table_name`]). [`Wal::decode`] round-trips exactly and
-//! rejects malformed input with
-//! [`EngineError::WalCorrupt`](crate::EngineError::WalCorrupt); records
-//! whose sequence numbers do not strictly increase are rejected with the
-//! typed [`EngineError::DuplicateSeq`](crate::EngineError::DuplicateSeq)
+//! The durable log writes each record through the binary record codec
+//! in [`crate::segment`] (rows and deltas in [`esm_store::codec`]), so
+//! the in-memory and on-disk logs share one representation. Table names
+//! starting with `!` are **reserved** for markers; the engine refuses to
+//! serve databases containing them (see [`reserved_table_name`]).
+//! Records whose sequence numbers do not strictly increase are rejected
+//! with the typed
+//! [`EngineError::DuplicateSeq`](crate::EngineError::DuplicateSeq)
 //! instead of being silently re-applied.
 
 use std::collections::BTreeMap;
 
-use esm_store::codec::{decode_row, encode_row, escape, unescape};
-use esm_store::{Database, Delta, Row};
+use esm_store::{Database, Delta};
 
 use crate::error::EngineError;
 
 /// Is `name` reserved for WAL markers (and therefore unusable as a table
-/// name)? Names starting with `!` would be ambiguous with the marker
-/// headers in the text format.
+/// name)? Names starting with `!` name the marker namespace (`!prepare`,
+/// `!resolve`), which keeps table and marker names apart in every log
+/// listing and error message.
 pub fn reserved_table_name(name: &str) -> bool {
     name.starts_with('!')
 }
@@ -172,62 +160,6 @@ impl WalRecord {
             _ => None,
         }
     }
-
-    /// Render this record in the WAL text format (used by both
-    /// [`Wal::encode`] and the durable segment writer, so the segment
-    /// payload bytes and the in-memory encoding never diverge; segments
-    /// additionally wrap each record in a CRC frame — see
-    /// [`crate::segment`]).
-    pub fn encode(&self) -> String {
-        match &self.op {
-            WalOp::Delta {
-                table,
-                delta,
-                chained,
-            } => {
-                let mut out = format!(
-                    "#{}{} {} +{} -{}\n",
-                    self.seq,
-                    if *chained { "*" } else { "" },
-                    escape(table),
-                    delta.inserted.len(),
-                    delta.deleted.len()
-                );
-                for row in &delta.inserted {
-                    out.push_str(&format!("+ {}\n", encode_row(row)));
-                }
-                for row in &delta.deleted {
-                    out.push_str(&format!("- {}\n", encode_row(row)));
-                }
-                out
-            }
-            WalOp::Prepare { gtx, records } => {
-                format!("#{} !prepare {} {}\n", self.seq, records, escape(gtx))
-            }
-            WalOp::Resolve { gtx, committed } => format!(
-                "#{} !resolve {} {}\n",
-                self.seq,
-                if *committed { "commit" } else { "abort" },
-                escape(gtx)
-            ),
-        }
-    }
-}
-
-/// A decoded record header line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum HeaderLine {
-    /// `#<seq>[*] <table> +<n> -<m>` — `n` inserted and `m` deleted row
-    /// lines follow.
-    Delta {
-        seq: u64,
-        table: String,
-        inserted: usize,
-        deleted: usize,
-        chained: bool,
-    },
-    /// A marker record (no body lines follow).
-    Marker(WalRecord),
 }
 
 /// An append-only log of committed operations.
@@ -481,54 +413,6 @@ impl Wal {
         }
         Ok(db)
     }
-
-    /// Serialise to the line-oriented text format.
-    pub fn encode(&self) -> String {
-        self.records.iter().map(WalRecord::encode).collect()
-    }
-
-    /// Parse the text format produced by [`Wal::encode`].
-    pub fn decode(text: &str) -> Result<Wal, EngineError> {
-        let mut wal = Wal::new();
-        let mut lines = text.lines();
-        while let Some(line) = lines.next() {
-            if line.is_empty() {
-                continue;
-            }
-            // `records_after`'s binary search and `next_seq` rely on
-            // strictly increasing sequence numbers; `push` rejects logs
-            // that break the invariant rather than mis-answering later.
-            match decode_header(line)? {
-                HeaderLine::Delta {
-                    seq,
-                    table,
-                    inserted,
-                    deleted,
-                    chained,
-                } => {
-                    let mut delta = Delta::empty();
-                    for _ in 0..inserted {
-                        delta.inserted.push(decode_row_line(lines.next(), '+')?);
-                    }
-                    for _ in 0..deleted {
-                        delta.deleted.push(decode_row_line(lines.next(), '-')?);
-                    }
-                    wal.push(WalRecord {
-                        seq,
-                        op: WalOp::Delta {
-                            table,
-                            delta,
-                            chained,
-                        },
-                    })?;
-                }
-                HeaderLine::Marker(rec) => {
-                    wal.push(rec)?;
-                }
-            }
-        }
-        Ok(wal)
-    }
 }
 
 /// The committed deltas for `table` in a run of WAL records, honouring
@@ -593,97 +477,10 @@ fn apply_delta(db: &mut Database, table: &str, delta: &Delta) -> Result<(), Engi
     Ok(())
 }
 
-/// Parse one record header line (see the module docs for the grammar).
-pub(crate) fn decode_header(line: &str) -> Result<HeaderLine, EngineError> {
-    let header = line
-        .strip_prefix('#')
-        .ok_or_else(|| EngineError::WalCorrupt(format!("expected record header: {line}")))?;
-    let (seq_str, rest) = header
-        .split_once(' ')
-        .ok_or_else(|| EngineError::WalCorrupt(format!("truncated header: {line}")))?;
-    let (seq_str, chained) = match seq_str.strip_suffix('*') {
-        Some(s) => (s, true),
-        None => (seq_str, false),
-    };
-    let seq: u64 = seq_str
-        .parse()
-        .map_err(|_| EngineError::WalCorrupt(format!("bad sequence number: {line}")))?;
-    if let Some(marker) = rest.strip_prefix("!prepare ") {
-        if chained {
-            return Err(EngineError::WalCorrupt(format!(
-                "markers cannot be chained: {line}"
-            )));
-        }
-        let (records, gtx_esc) = marker
-            .split_once(' ')
-            .ok_or_else(|| EngineError::WalCorrupt(format!("truncated prepare marker: {line}")))?;
-        let records: u64 = records
-            .parse()
-            .map_err(|_| EngineError::WalCorrupt(format!("bad prepare record count: {line}")))?;
-        let gtx = unescape(gtx_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-        return Ok(HeaderLine::Marker(WalRecord::prepare(seq, gtx, records)));
-    }
-    if let Some(marker) = rest.strip_prefix("!resolve ") {
-        if chained {
-            return Err(EngineError::WalCorrupt(format!(
-                "markers cannot be chained: {line}"
-            )));
-        }
-        let (outcome, gtx_esc) = marker
-            .split_once(' ')
-            .ok_or_else(|| EngineError::WalCorrupt(format!("truncated resolve marker: {line}")))?;
-        let committed = match outcome {
-            "commit" => true,
-            "abort" => false,
-            other => {
-                return Err(EngineError::WalCorrupt(format!(
-                    "bad resolve outcome {other:?}: {line}"
-                )))
-            }
-        };
-        let gtx = unescape(gtx_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-        return Ok(HeaderLine::Marker(WalRecord::resolve(seq, gtx, committed)));
-    }
-    if rest.starts_with('!') {
-        return Err(EngineError::WalCorrupt(format!(
-            "unknown marker kind: {line}"
-        )));
-    }
-    let mut parts = rest.rsplitn(3, ' ');
-    let deleted = parse_count(parts.next(), '-', line)?;
-    let inserted = parse_count(parts.next(), '+', line)?;
-    let table_esc = parts
-        .next()
-        .ok_or_else(|| EngineError::WalCorrupt(format!("truncated header: {line}")))?;
-    let table = unescape(table_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-    Ok(HeaderLine::Delta {
-        seq,
-        table,
-        inserted,
-        deleted,
-        chained,
-    })
-}
-
-fn parse_count(part: Option<&str>, sign: char, line: &str) -> Result<usize, EngineError> {
-    part.and_then(|p| p.strip_prefix(sign))
-        .and_then(|p| p.parse().ok())
-        .ok_or_else(|| EngineError::WalCorrupt(format!("bad {sign} count in header: {line}")))
-}
-
-/// Parse one `+ <row>` / `- <row>` body line.
-pub(crate) fn decode_row_line(line: Option<&str>, sign: char) -> Result<Row, EngineError> {
-    let line = line.ok_or_else(|| EngineError::WalCorrupt("truncated record body".into()))?;
-    let body = line
-        .strip_prefix(sign)
-        .and_then(|l| l.strip_prefix(' '))
-        .ok_or_else(|| EngineError::WalCorrupt(format!("expected `{sign} ` row line: {line}")))?;
-    decode_row(body).map_err(|e| EngineError::WalCorrupt(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{decode_record, encode_record};
     use esm_store::{row, Schema, Table, ValueType};
 
     fn db() -> Database {
@@ -897,55 +694,51 @@ mod tests {
         wal.push(WalRecord::prepare(6, "g \t42\n", 1)).unwrap();
         wal.push(WalRecord::resolve(7, "g \t42\n", true)).unwrap();
         wal.push(WalRecord::resolve(8, "g2", false)).unwrap();
-        let text = wal.encode();
-        let back = Wal::decode(&text).unwrap();
+        // Through the record codec the durable log writes: every record
+        // decodes to itself and the decoded log rebuilds exactly.
+        let mut back = Wal::new();
+        for rec in wal.records() {
+            back.push(decode_record(&encode_record(rec)).unwrap())
+                .unwrap();
+        }
         assert_eq!(back, wal);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(matches!(
-            Wal::decode("not a header"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#x t +0 -0"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +1 -0"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +1 -0\n+ z:9"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        // Marker garbage: unknown kinds, bad outcomes, chained markers.
-        assert!(matches!(
-            Wal::decode("#1 !vanish now g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 !resolve maybe g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1* !prepare 1 g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 !prepare g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
+        let valid = encode_record(&WalRecord::delta(1, "t", insert_delta(1, "a")));
+        let mut unknown_tag = valid.clone();
+        unknown_tag[0] = 9;
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        let mut bad_verdict = encode_record(&WalRecord::resolve(1, "g1", true));
+        *bad_verdict.last_mut().unwrap() = 2;
+        let mut bad_cell = valid.clone();
+        // The first cell's tag byte: tag, seq, table, counts, cell count.
+        bad_cell[1 + 8 + 5 + 8 + 4] = 7;
+        for bad in [unknown_tag, trailing, bad_verdict, bad_cell, vec![]] {
+            assert!(
+                matches!(decode_record(&bad), Err(EngineError::WalCorrupt(_))),
+                "{bad:?}"
+            );
+        }
+        for cut in 0..valid.len() {
+            assert!(matches!(
+                decode_record(&valid[..cut]),
+                Err(EngineError::WalCorrupt(_))
+            ));
+        }
         // Out-of-order or duplicate sequence numbers get the typed error.
-        assert!(matches!(
-            Wal::decode("#2 t +0 -0\n#1 t +0 -0"),
-            Err(EngineError::DuplicateSeq { seq: 1, last: 2 })
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +0 -0\n#1 t +0 -0"),
-            Err(EngineError::DuplicateSeq { seq: 1, last: 1 })
-        ));
+        let mut wal = Wal::new();
+        wal.push(decode_record(&encode_record(&WalRecord::delta(2, "t", Delta::empty()))).unwrap())
+            .unwrap();
+        for seq in [1, 2] {
+            let rec = decode_record(&encode_record(&WalRecord::delta(seq, "t", Delta::empty())));
+            assert_eq!(
+                wal.push(rec.unwrap()),
+                Err(EngineError::DuplicateSeq { seq, last: 2 })
+            );
+        }
     }
 
     #[test]

@@ -387,22 +387,18 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
     // A fully-stale segment: records 1..=10 re-encoded from the recorded
     // states, under a name compaction freed. A leftover pre-compaction
     // file looks exactly like this.
-    let mut stale_text = String::new();
+    let mut stale = Vec::new();
     for seq in 1..=10u64 {
         for rec in rebuild_records(&states, seq) {
-            stale_text.push_str(&esm_engine::encode_framed(&rec));
+            stale.extend_from_slice(&esm_engine::encode_framed(&rec));
         }
     }
-    std::fs::write(
-        shard_dir(&dir).join(format!("wal-{:020}.seg", 1)),
-        stale_text,
-    )
-    .expect("inject stale");
+    std::fs::write(shard_dir(&dir).join(format!("wal-{:020}.seg", 1)), stale)
+        .expect("inject stale");
 
     // A duplicate of a live segment's content under an overlapping name:
-    // the same records delivered twice. The injected file mixes codecs
-    // — one text frame, then the duplicated binary frames — which the
-    // per-frame decoder must take in stride.
+    // the same records delivered twice, behind one re-encoded record
+    // that precedes them.
     let segments = segment_bytes(&shard_dir(&dir));
     let (dup_first, dup_bytes) = segments
         .iter()
@@ -413,9 +409,8 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
     assert!(dup_first > 1, "compaction keeps only late segments");
     let mut dup_file: Vec<u8> = rebuild_records(&states, dup_first - 1)
         .iter()
-        .map(esm_engine::encode_framed)
-        .collect::<String>()
-        .into_bytes();
+        .flat_map(esm_engine::encode_framed)
+        .collect();
     dup_file.extend_from_slice(&dup_bytes);
     std::fs::write(
         shard_dir(&dir).join(format!("wal-{:020}.seg", dup_first - 1)),
@@ -681,96 +676,45 @@ fn live_and_durable_views_of_state_agree() {
 }
 
 #[test]
-fn mixed_text_and_binary_segment_directories_recover_cleanly() {
-    const COMMITS: usize = 60;
-    let dir = fresh_dir("mixed-codec");
-    let cfg = DurabilityConfig::new(&dir)
-        .segment_bytes(700)
-        .checkpoint_every(0)
-        .maintenance_interval_ms(0);
-    let (engine, states) = recorded_run(cfg.clone(), COMMITS);
-    let live = engine.snapshot();
-    drop(engine);
+fn legacy_text_segments_are_refused_and_left_untouched() {
+    // A segment in the pre-binary text framing (`=<len> <crc hex>\n`
+    // then the record as text) is not a crash artifact: recovery must
+    // refuse the directory rather than truncate it as a torn tail —
+    // whether the text is a whole segment or follows binary frames.
+    let text = b"=28 00000000\n#1 accounts +0 -0\n";
+    for whole_segment in [true, false] {
+        let dir = fresh_dir(if whole_segment {
+            "text-seg"
+        } else {
+            "text-tail"
+        });
+        let cfg = DurabilityConfig::new(&dir)
+            .segment_bytes(700)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0);
+        drop(recorded_run(cfg.clone(), 30));
+        let segments = segment_bytes(&shard_dir(&dir));
+        assert!(segments.len() >= 2, "need a multi-segment run");
+        let (first_seq, mut bytes) = if whole_segment {
+            (segments[0].0, Vec::new())
+        } else {
+            segments.last().expect("segments").clone()
+        };
+        bytes.extend_from_slice(text);
+        std::fs::write(
+            shard_dir(&dir).join(format!("wal-{first_seq:020}.seg")),
+            &bytes,
+        )
+        .expect("inject text");
 
-    // Rewrite the directory into the shape an upgraded deployment has:
-    // the older half of the segments in the legacy text framing, one
-    // segment that switches codec mid-file (the writer was restarted
-    // with the binary codec mid-segment), and the rest binary as
-    // written. Record content is rebuilt from the recorded states, so
-    // the stream stays seq-for-seq identical.
-    let segments = segment_bytes(&shard_dir(&dir));
-    assert!(
-        segments.len() >= 4,
-        "need a multi-segment run, got {}",
-        segments.len()
-    );
-    let half = segments.len() / 2;
-    for (i, (first_seq, _)) in segments.iter().enumerate() {
-        let last_seq = segments
-            .get(i + 1)
-            .map_or(COMMITS as u64, |(next, _)| next - 1);
-        if i < half {
-            let mut text = String::new();
-            for seq in *first_seq..=last_seq {
-                for rec in rebuild_records(&states, seq) {
-                    text.push_str(&esm_engine::encode_framed(&rec));
-                }
-            }
-            std::fs::write(
-                shard_dir(&dir).join(format!("wal-{first_seq:020}.seg")),
-                text,
-            )
-            .expect("rewrite text segment");
-        } else if i == half {
-            let mid = (*first_seq + last_seq) / 2;
-            let mut bytes = Vec::new();
-            for seq in *first_seq..=last_seq {
-                for rec in rebuild_records(&states, seq) {
-                    if seq <= mid {
-                        bytes.extend_from_slice(esm_engine::encode_framed(&rec).as_bytes());
-                    } else {
-                        bytes.extend_from_slice(&esm_engine::encode_framed_binary(&rec));
-                    }
-                }
-            }
-            std::fs::write(
-                shard_dir(&dir).join(format!("wal-{first_seq:020}.seg")),
-                bytes,
-            )
-            .expect("rewrite mixed segment");
+        let before = segment_bytes(&shard_dir(&dir));
+        for _ in 0..2 {
+            assert!(matches!(
+                recover(cfg.clone()),
+                Err(EngineError::WalCorrupt(_))
+            ));
+            assert_eq!(segment_bytes(&shard_dir(&dir)), before, "no byte changed");
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
-
-    // The mixed directory recovers to exactly the live state.
-    let (recovered, report) = recover(cfg).expect("mixed recovery");
-    assert_eq!(recovered.snapshot(), live, "mixed codecs lose nothing");
-    assert_eq!(report.records_replayed as usize, COMMITS);
-    assert_eq!(report.last_seq as usize, COMMITS);
-    drop(recovered);
-
-    // And truncation at every byte of the mixed stream still recovers
-    // the longest durable prefix — text frames, binary frames, and the
-    // codec boundary are all torn through.
-    let mixed = segment_bytes(&shard_dir(&dir));
-    let total: usize = mixed.iter().map(|(_, b)| b.len()).sum();
-    let mut recovered_db = states[0].clone();
-    let mut applied = 0usize;
-    for cut in 0..=total {
-        let scan = truncate_stream(&mixed, cut);
-        let (records, stale) = plan_recovery(0, &scan).expect("truncation never corrupts");
-        assert_eq!(stale, 0, "no stale records in a pristine mixed log");
-        assert!(
-            records.len() >= applied,
-            "longer prefix cannot lose records (cut {cut})"
-        );
-        apply_records(&mut recovered_db, &records[applied..]);
-        applied = records.len();
-        assert_eq!(
-            recovered_db, states[applied],
-            "cut at byte {cut}: recovered state must equal the live state \
-             after seq {applied}"
-        );
-    }
-    assert_eq!(applied, COMMITS, "the full mixed stream recovers all");
-    std::fs::remove_dir_all(&dir).ok();
 }

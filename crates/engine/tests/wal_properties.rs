@@ -1,10 +1,11 @@
 //! Property-based recovery laws: for arbitrary committed workloads, WAL
 //! replay over the baseline reconstructs the live engine state, and the
-//! WAL text codec round-trips.
+//! WAL record codec (the framed binary form the durable log writes)
+//! round-trips.
 
 use proptest::prelude::*;
 
-use esm_engine::{ShardedEngineServer, Wal, WalRecord};
+use esm_engine::{decode_segment_prefix, encode_framed, ShardedEngineServer, Wal, WalRecord};
 use esm_store::{row, Database, Delta, Row, Schema, Table, Value, ValueType};
 
 fn baseline() -> Database {
@@ -86,11 +87,26 @@ fn apply_ops(engine: &ShardedEngineServer, ops: &[Op], per_tx: usize) {
     }
 }
 
-/// Characters chosen to stress the codec: everything the escaping has to
-/// handle (separators, escapes, the escape character itself), quoting,
-/// format metacharacters (`#`, `+`, `-`, `:`), and a multi-byte point.
+/// Frame every record of `wal` the way a durable segment does, decode
+/// the byte stream back, and rebuild the log from the decoded records.
+fn round_trip(wal: &Wal) -> Wal {
+    let bytes: Vec<u8> = wal.records().iter().flat_map(encode_framed).collect();
+    let prefix = decode_segment_prefix(&bytes);
+    assert!(!prefix.torn && prefix.corrupt.is_none(), "{prefix:?}");
+    assert_eq!(prefix.consumed, bytes.len());
+    let mut back = Wal::new();
+    for rec in prefix.records {
+        back.push(rec).expect("strictly increasing");
+    }
+    back
+}
+
+/// Characters chosen to stress a codec: separators and escapes a text
+/// form would have to handle, quoting, format metacharacters (`#`, `+`,
+/// `-`, `:`), a NUL, the frame magic's code point, and a multi-byte
+/// point.
 const NASTY: &[char] = &[
-    'a', 'z', '"', '\'', '\\', '\t', '\n', '\r', ' ', ':', '#', '+', '-', 'λ',
+    'a', 'z', '"', '\'', '\\', '\t', '\n', '\r', ' ', ':', '#', '+', '-', '\0', '\u{B5}', 'λ',
 ];
 
 fn nasty_string() -> impl Strategy<Value = String> {
@@ -128,9 +144,7 @@ proptest! {
             wal.push(WalRecord::delta(seq, table, Delta { inserted, deleted }))
                 .expect("strictly increasing by construction");
         }
-        let text = wal.encode();
-        let decoded = Wal::decode(&text).expect("round-trips");
-        prop_assert_eq!(decoded, wal);
+        prop_assert_eq!(round_trip(&wal), wal);
     }
 
     #[test]
@@ -141,8 +155,8 @@ proptest! {
         )
     ) {
         // Chained deltas, prepare/resolve markers with codec-hostile
-        // gtx ids, and plain records, interleaved arbitrarily: the text
-        // codec round-trips the full op grammar.
+        // gtx ids, and plain records, interleaved arbitrarily: the
+        // record codec round-trips the full op grammar.
         let mut wal = Wal::new();
         let mut seq = 0u64;
         for (kind, name, rows, gap) in raw {
@@ -161,8 +175,7 @@ proptest! {
             };
             wal.push(rec).expect("strictly increasing by construction");
         }
-        let decoded = Wal::decode(&wal.encode()).expect("round-trips");
-        prop_assert_eq!(decoded, wal);
+        prop_assert_eq!(round_trip(&wal), wal);
     }
 }
 
@@ -190,12 +203,21 @@ fn codec_handles_quotes_newlines_and_empty_deltas() {
             deleted: vec![],
         },
     );
-    let text = wal.encode();
-    // Escaping keeps the line discipline: exactly one header or row per
-    // physical line, whatever the payload.
-    assert_eq!(text.lines().count(), 3 /* headers */ + 3 /* rows */);
-    let back = Wal::decode(&text).expect("decodes");
-    assert_eq!(back, wal);
+    // Length prefixes delimit everything: one frame per record, whatever
+    // the payload bytes.
+    let frames: Vec<Vec<u8>> = wal.records().iter().map(encode_framed).collect();
+    let bytes = frames.concat();
+    let prefix = decode_segment_prefix(&bytes);
+    let mut end = 0;
+    let ends: Vec<usize> = frames
+        .iter()
+        .map(|f| {
+            end += f.len();
+            end
+        })
+        .collect();
+    assert_eq!(prefix.ends, ends);
+    assert_eq!(round_trip(&wal), wal);
 }
 
 proptest! {
@@ -203,22 +225,13 @@ proptest! {
     fn wal_replay_reconstructs_live_state(ops in arb_ops(40), per_tx in 1usize..6) {
         let engine = engine();
         apply_ops(&engine, &ops, per_tx);
-        let replayed = wal_of(&engine).replay(&baseline()).expect("replays");
-        prop_assert_eq!(replayed, engine.snapshot());
-    }
-
-    #[test]
-    fn wal_text_codec_round_trips(ops in arb_ops(30), per_tx in 1usize..4) {
-        let engine = engine();
-        apply_ops(&engine, &ops, per_tx);
         let wal = wal_of(&engine);
-        let decoded = Wal::decode(&wal.encode()).expect("decodes");
+        let replayed = wal.replay(&baseline()).expect("replays");
+        prop_assert_eq!(replayed, engine.snapshot());
+        // The log as the durable segments hold it recovers the same state.
+        let decoded = round_trip(&wal);
         prop_assert_eq!(&decoded, &wal);
-        // Decoded logs recover the same state as live ones.
-        prop_assert_eq!(
-            decoded.replay(&baseline()).expect("replays"),
-            engine.snapshot()
-        );
+        prop_assert_eq!(decoded.replay(&baseline()).expect("replays"), engine.snapshot());
     }
 
     #[test]

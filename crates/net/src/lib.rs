@@ -27,9 +27,13 @@
 //!
 //! * [`frame`] — length-prefixed, CRC32-checked frames; torn prefixes
 //!   wait, bit rot refuses (the WAL segments' discipline, on a socket).
-//! * [`proto`] — line-oriented request/response text for the full
-//!   `Engine` surface, reusing [`esm_store::codec`]'s escaping; view
-//!   definitions and predicates serialize structurally.
+//! * [`proto`] — the binary request/response codec (revision 5) for
+//!   the full `Engine` surface: tables, deltas and predicates in
+//!   [`esm_store::codec`], the same encoding the WAL and checkpoints
+//!   use; every structured payload (view definitions, metrics,
+//!   telemetry, traces, manifests, errors) has its own binary form. A
+//!   payload in another protocol gets a typed `UnsupportedProtocol`
+//!   error and the connection stays up.
 //! * [`poll`] — the readiness source: raw `epoll` on Linux (the server
 //!   parks in the kernel and touches only ready connections), an
 //!   interruptible-sleep full-sweep fallback elsewhere, one API.
@@ -60,8 +64,7 @@
 //! buffered output crosses its high-water mark has its cursor frozen
 //! (nothing accumulates on its behalf), and on resume its subscription
 //! resyncs. A stalled subscriber never delays a commit or another
-//! subscriber's push. Rev-2 clients interoperate unchanged — the new
-//! verbs are additive, in both the binary and legacy text codecs.
+//! subscriber's push.
 //!
 //! Protocol rev 4 adds WAL-shipping replication on the same socket:
 //! `repl_manifest` / `repl_fetch` expose a durable engine's segment
@@ -70,7 +73,10 @@
 //! has never shared a disk with its primary. Replicas reject writes
 //! with a `not_primary` error carrying the primary's advertised
 //! address; [`RemoteEngine::follow_redirect`] turns that into a
-//! reconnect. Again additive: older peers never see the new frames.
+//! reconnect.
+//!
+//! Protocol rev 5 drops the text codec of revisions 1–4: one binary
+//! codec per message, no text blobs nested inside binary frames.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);

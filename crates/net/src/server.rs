@@ -64,7 +64,7 @@ use esm_store::Delta;
 
 use crate::frame::{decode_frame, encode_frame};
 use crate::poll::{poll_fd, PollFd, PollOutcome, Poller, LISTENER_TOKEN};
-use crate::proto::{handle, Request, Response, WireError, PROTOCOL_REV};
+use crate::proto::{handle, Request, Response, PROTOCOL_REV};
 
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -851,11 +851,10 @@ fn worker_loop(
                             }
                         }
                     }
-                    Err(WireError(msg)) => (
-                        Response::Err(esm_engine::EngineError::Io(format!("bad request: {msg}"))),
-                        None,
-                        Post::None,
-                    ),
+                    // A foreign protocol gets the typed error and the
+                    // connection stays up; a malformed binary request
+                    // gets an I/O error naming the defect.
+                    Err(e) => (Response::Err(e.into()), None, Post::None),
                 }
             }))
             .unwrap_or_else(|_| {

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 
 use esm_net::frame::{decode_frame, encode_frame};
-use esm_net::proto::{decode_predicate, encode_predicate};
 use esm_net::{Request, Response};
 use esm_obs::{SpanRecord, TraceId, TraceRecord, TraceReport};
 use esm_relational::ViewDef;
@@ -135,9 +134,11 @@ fn arb_trace() -> impl Strategy<Value = TraceRecord> {
 proptest! {
     #[test]
     fn predicates_round_trip(pred in arb_predicate()) {
-        let line = encode_predicate(&pred);
-        prop_assert!(!line.contains('\n'), "predicates stay on one line");
-        prop_assert_eq!(decode_predicate(&line).expect("round-trips"), pred);
+        let mut bytes = Vec::new();
+        esm_store::codec::put_predicate(&mut bytes, &pred);
+        let mut r = esm_store::codec::BinReader::new(&bytes);
+        prop_assert_eq!(r.predicate().expect("round-trips"), pred);
+        prop_assert!(r.end().is_ok(), "a predicate delimits itself");
     }
 
     #[test]
@@ -270,14 +271,14 @@ proptest! {
     }
 
     #[test]
-    fn subscribe_requests_round_trip_both_codecs(
+    fn subscribe_requests_round_trip(
         view in nasty_string(),
         cursor_val in arb_u64(),
         cursor_some in any::<bool>(),
         unsub in any::<bool>(),
     ) {
         // Revision-3 verbs with codec-hostile view names and full-range
-        // cursors, through both the binary and the legacy text codec.
+        // cursors, through a frame.
         let cursor = cursor_some.then_some(cursor_val);
         let req = if unsub {
             Request::Unsubscribe(view)
@@ -286,12 +287,11 @@ proptest! {
         };
         let framed = encode_frame(&req.encode());
         let (payload, _) = decode_frame(&framed).unwrap().expect("complete");
-        prop_assert_eq!(Request::decode(&payload).expect("binary round-trips"), req.clone());
-        prop_assert_eq!(Request::decode(&req.encode_text()).expect("text round-trips"), req);
+        prop_assert_eq!(Request::decode(&payload).expect("round-trips"), req);
     }
 
     #[test]
-    fn push_responses_round_trip_both_codecs(
+    fn push_responses_round_trip(
         view in nasty_string(),
         from_seq in arb_u64(),
         to_seq in arb_u64(),
@@ -315,8 +315,7 @@ proptest! {
         };
         let framed = encode_frame(&resp.encode());
         let (payload, _) = decode_frame(&framed).unwrap().expect("complete");
-        prop_assert_eq!(Response::decode(&payload).expect("binary round-trips"), resp.clone());
-        prop_assert_eq!(Response::decode(&resp.encode_text()).expect("text round-trips"), resp);
+        prop_assert_eq!(Response::decode(&payload).expect("round-trips"), resp);
     }
 
     #[test]
@@ -344,25 +343,23 @@ proptest! {
 }
 
 /// A view definition is base/select/project/rename stages and nothing
-/// else: any other stage keyword — `eager` included — is the codec's
-/// ordinary unknown-stage error, in both the text and the binary form.
+/// else: any other stage tag — where the retired `eager` stage would
+/// sit — is the codec's ordinary bad-stage error.
 #[test]
 fn unknown_view_stages_are_refused() {
-    let stages = "@viewdef\t2\nbase\neager\n";
-    let text = format!("define_view\tv\tt\n{stages}");
-    let err = Request::decode(text.as_bytes()).expect_err("text form refused");
-    assert!(err.0.contains("bad view stage `eager`"), "{err}");
-
-    // The binary form carries the same stage list as its last field.
-    let base_only = "@viewdef\t1\nbase\n";
     let valid = Request::DefineView {
         name: "v".into(),
         table: "t".into(),
         def: ViewDef::base(),
     }
     .encode();
-    let mut binary = valid[..valid.len() - 4 - base_only.len()].to_vec();
-    esm_store::codec::put_str(&mut binary, stages);
-    let err = Request::decode(&binary).expect_err("binary form refused");
-    assert!(err.0.contains("bad view stage `eager`"), "{err}");
+    // The stage list is the last field: `u32 1, base`.
+    let mut binary = valid[..valid.len() - 5].to_vec();
+    binary.extend_from_slice(&2u32.to_le_bytes());
+    binary.extend_from_slice(&[0, 4]);
+    let err = Request::decode(&binary).expect_err("unknown stage refused");
+    assert!(
+        matches!(&err, esm_net::WireError::Malformed(msg) if msg.contains("bad view stage tag 4")),
+        "{err}"
+    );
 }

@@ -326,6 +326,35 @@ fn malformed_commit_rows_error_without_killing_the_server() {
 }
 
 #[test]
+fn foreign_protocol_payloads_get_a_typed_error_and_the_connection_survives() {
+    use esm_net::{Request, Response};
+
+    let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    // Text requests of protocol revisions 1-4, an empty payload and
+    // random bytes: each answered with `UnsupportedProtocol` naming the
+    // first byte, each on the same connection.
+    for (payload, first) in [
+        (&b"ping\n"[..], "0x70"),
+        (b"commit\t1\n@name\tt\n@delta\t0\t0\n", "0x63"),
+        (b"", "nothing"),
+        (b"\xb5\x00\x00", "0xb5"),
+    ] {
+        esm_net::frame::write_frame(&mut stream, payload).unwrap();
+        let reply = Response::decode(&esm_net::frame::read_frame(&mut stream).unwrap()).unwrap();
+        assert!(
+            matches!(&reply, Response::Err(EngineError::UnsupportedProtocol(msg))
+                if msg.contains(first) && msg.contains("0xb7")),
+            "{payload:?}: {reply:?}"
+        );
+    }
+    esm_net::frame::write_frame(&mut stream, &Request::TableNames.encode()).unwrap();
+    let reply = Response::decode(&esm_net::frame::read_frame(&mut stream).unwrap()).unwrap();
+    assert_eq!(reply, Response::Names(vec!["t".into()]));
+    server.shutdown();
+}
+
+#[test]
 fn getters_surface_transport_failure_as_errors_not_panics() {
     let (server, addr) = serve(ShardedEngineServer::new(seed_db(), 1).unwrap().as_engine());
     let remote = connect(addr);

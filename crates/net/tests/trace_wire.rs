@@ -175,14 +175,23 @@ fn untraced_requests_allocate_no_spans() {
         session.read("all").expect("readable");
     }
 
-    // A legacy text-framed request never carries a trace context.
+    // A request in the text protocol of revisions 1-4 allocates no
+    // spans either: it gets the typed unsupported-protocol error, and
+    // the same connection keeps serving binary requests.
     {
-        use std::io::{Read as _, Write as _};
         let mut stream = std::net::TcpStream::connect(addr).expect("text client connects");
-        let frame = esm_net::encode_frame(&Request::Ping.encode_text());
-        stream.write_all(&frame).expect("text frame written");
-        let mut header = [0u8; 8];
-        stream.read_exact(&mut header).expect("response header");
+        let mut round_trip = |payload: &[u8]| {
+            esm_net::frame::write_frame(&mut stream, payload).expect("frame written");
+            let reply = esm_net::frame::read_frame(&mut stream).expect("reply frame");
+            Response::decode(&reply).expect("a binary reply")
+        };
+        let reply = round_trip(b"ping\n");
+        assert!(
+            matches!(&reply, Response::Err(esm_engine::EngineError::UnsupportedProtocol(msg))
+                if msg.contains("0x70")),
+            "{reply:?}"
+        );
+        assert_eq!(round_trip(&Request::Ping.encode()), Response::Unit);
     }
 
     let report = remote.traces().expect("TRACE over the wire");
